@@ -23,7 +23,6 @@ from .wavefunction import (
     RAISE,
     LOWER,
     RadialProfile,
-    QuadratureSpec,
     psi_regular,
     psi_zero_mode,
     apply_supercharge,
@@ -55,7 +54,6 @@ __all__ = [
     "RAISE",
     "LOWER",
     "RadialProfile",
-    "QuadratureSpec",
     "psi_regular",
     "psi_zero_mode",
     "apply_supercharge",

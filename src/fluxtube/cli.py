@@ -274,7 +274,10 @@ def _cmd_wavefunction(args, parser) -> int:
 def _cmd_regularize(args, parser) -> int:
     radii = _parse_radii(args.R, parser)
     if args.sigma is None:
-        sigma = 0.5 if args.alpha >= 0 else -0.5
+        try:
+            sigma = FluxConfig(args.alpha).regular_sigma
+        except ValueError as exc:
+            parser.error(str(exc))
     else:
         sigma = _parse_sigma(args.sigma, parser)
     if args.nmax < 0:

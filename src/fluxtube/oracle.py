@@ -34,13 +34,13 @@ from scipy.optimize import brentq
 
 __all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues"]
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# Integration grid, shared by every problem: the Frobenius start radius, the
+# edge of the stiff inner region, its step refinement, and the number of RK4
+# steps between renormalizations.
+_R_START = 1e-4
+_INNER_EDGE = 0.05
+_INNER_REFINE = 32
+_RENORM_EVERY = 500
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class ShootingProblem:
     ``shell_radius`` switches between the point-flux problem (None: the
     flux enters only through m + alpha) and the shell-regularized problem
     (flux spread on a shell at that radius).  ``h`` is the outer RK4 step;
-    the region up to ``inner_edge`` runs at h / ``inner_refine``.
+    integration starts at ``_R_START`` and the region up to ``_INNER_EDGE``
+    runs at h / ``_INNER_REFINE``.
     """
 
     alpha: float
@@ -59,22 +60,17 @@ class ShootingProblem:
     shell_radius: float | None = None
     r_max: float = 12.0
     h: float = 1e-3
-    r_start: float = 1e-4
-    inner_edge: float = 0.05
-    inner_refine: int = 32
-    renorm_every: int = 500
 
     def __post_init__(self):
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")
         if self.shell_radius is not None and not (0.0 < self.shell_radius < self.r_max):
             raise ValueError("shell radius must lie inside (0, r_max)")
-        if not (0.0 < self.r_start < self.r_max):
-            raise ValueError("need 0 < r_start < r_max")
+        if not self.r_max > _R_START:
+            raise ValueError(f"r_max must exceed the start radius {_R_START}")
 
 
-@njit(cache=True)
-def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy, renorm_every):
+def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy):
     """Integrate one region with fixed angular number; returns (psi, phi, log_scale)."""
     h = (r1 - r0) / nsteps
     log_scale = 0.0
@@ -99,7 +95,7 @@ def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy, renorm_every):
         psi = psi + h / 6.0 * (phi + 2.0 * f2 + 2.0 * f3 + f4)
         phi = phi + h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
-        if (i + 1) % renorm_every == 0:
+        if (i + 1) % _RENORM_EVERY == 0:
             s = abs(psi)
             if abs(phi) > s:
                 s = abs(phi)
@@ -111,10 +107,10 @@ def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy, renorm_every):
 
 
 def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]]:
-    """Break [r_start, r_max] into (lo, hi, refined, m_eff) integration spans."""
-    cuts = {problem.r_start, problem.r_max}
-    if problem.r_start < problem.inner_edge < problem.r_max:
-        cuts.add(problem.inner_edge)
+    """Break [_R_START, r_max] into (lo, hi, refined, m_eff) integration spans."""
+    cuts = {_R_START, problem.r_max}
+    if _INNER_EDGE < problem.r_max:
+        cuts.add(_INNER_EDGE)
     shell = problem.shell_radius
     if shell is not None:
         cuts.add(shell)
@@ -124,7 +120,7 @@ def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]
         mid = 0.5 * (lo + hi)
         inside = shell is not None and mid < shell
         m_eff = float(problem.m) if inside else problem.m + problem.alpha
-        refined = mid < problem.inner_edge
+        refined = mid < _INNER_EDGE
         out.append((lo, hi, refined, m_eff))
     return out
 
@@ -137,7 +133,7 @@ def shoot(problem: ShootingProblem, energy: float) -> float:
     else:
         k = abs(float(problem.m))
         m0 = float(problem.m)
-    r0 = problem.r_start
+    r0 = _R_START
     a1 = (2.0 * m0 + 4.0 * problem.sigma - 4.0 * energy) / (4.0 * k + 4.0)
     psi = r0 ** k * (1.0 + a1 * r0 * r0)
     phi = r0 ** (k - 1.0) * (k + (k + 2.0) * a1 * r0 * r0)
@@ -147,10 +143,10 @@ def shoot(problem: ShootingProblem, energy: float) -> float:
     phi /= scale
 
     for lo, hi, refined, m_eff in _segments(problem):
-        h = problem.h / problem.inner_refine if refined else problem.h
+        h = problem.h / _INNER_REFINE if refined else problem.h
         nsteps = max(1, int(math.ceil((hi - lo) / h - 1e-12)))
         psi, phi, logs = _rk4_region(psi, phi, lo, hi, nsteps, m_eff,
-                                     problem.sigma, energy, problem.renorm_every)
+                                     problem.sigma, energy)
         log_total += logs
         if problem.shell_radius is not None and abs(hi - problem.shell_radius) < 1e-15:
             phi += (2.0 * problem.sigma * problem.alpha / problem.shell_radius) * psi
@@ -198,8 +194,3 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
         f"found only {len(roots)} of {count} eigenvalues scanning up to "
         f"E = {e_max:g} (alpha={problem.alpha:g}, m={problem.m}, "
         f"sigma={problem.sigma:+g})")
-
-
-def refine_step(problem: ShootingProblem, factor: float) -> ShootingProblem:
-    """Same problem with the RK4 step scaled by ``factor`` (for convergence studies)."""
-    return replace(problem, h=problem.h * factor)

@@ -50,6 +50,10 @@ __all__ = [
     "u_zero_scan",
 ]
 
+# Root scan in xi: step between cross-form samples, and brentq tolerance.
+_XI_STEP = 0.02
+_XI_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class TubeModel:
@@ -156,15 +160,13 @@ class MatchResult:
     residual: float  # |W| at the root over the sum of |term| magnitudes
 
 
-def find_xi_roots(model: TubeModel, n_max: int = 2, *,
-                  xi_start: float | None = None, step: float = 0.02,
-                  xtol: float = 1e-13) -> list[MatchResult]:
+def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     """The matching roots xi_0 > xi_1 > ... > xi_{n_max}, scanning downward.
 
-    Starts below every possible level (xi_start defaults to the xi of
-    E = -0.3) and walks down in xi, refining every sign change of the
-    cross form with brentq.  Roots come out ordered by decreasing xi =
-    increasing energy.  In the channel that carries the regular tower
+    Starts below every possible level (at the xi of E = -0.3) and walks
+    down in steps of ``_XI_STEP``, refining every sign change of the cross
+    form with brentq to ``_XI_TOL``.  Roots come out ordered by decreasing
+    xi = increasing energy.  In the channel that carries the regular tower
     (sigma matching the sign of alpha, and the repelled spin for alpha > 0)
     the n-th entry is the shell counterpart of the point-flux level with
     xi = -n; in the attracted channel the list instead starts with the
@@ -174,25 +176,23 @@ def find_xi_roots(model: TubeModel, n_max: int = 2, *,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n_roots = n_max + 1
-    if xi_start is None:
-        xi_start = model.xi_offset + 0.3
     xi_floor = -(n_roots - 1) - 1.7
 
     def w_of_xi(xi: float) -> float:
         return matching_wronskian(model, model.energy_from_xi(xi))[0]
 
     results: list[MatchResult] = []
-    xi_prev = xi_start
+    xi_prev = model.xi_offset + 0.3
     w_prev = w_of_xi(xi_prev)
     xi_cur = xi_prev
     while xi_cur > xi_floor and len(results) < n_roots:
-        xi_cur = xi_prev - step
+        xi_cur = xi_prev - _XI_STEP
         w_cur = w_of_xi(xi_cur)
         if w_prev == 0.0 or (w_cur != 0.0 and (w_prev < 0.0) != (w_cur < 0.0)):
             if w_prev == 0.0:
                 root, iters = xi_prev, 0
             else:
-                root, info = brentq(w_of_xi, xi_cur, xi_prev, xtol=xtol,
+                root, info = brentq(w_of_xi, xi_cur, xi_prev, xtol=_XI_TOL,
                                     full_output=True)
                 iters = info.iterations
             energy = model.energy_from_xi(root)

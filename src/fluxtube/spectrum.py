@@ -157,6 +157,11 @@ def _norm_regular(n: int, am: float) -> float:
     return math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(am + n + 1.0))) / math.sqrt(math.pi)
 
 
+def _norm_zero_mode(ma: float) -> float:
+    """1/sqrt(pi Gamma(1 - ma)) with ma = m + alpha < 1."""
+    return 1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - ma)))
+
+
 def enumerate_states(cfg: FluxConfig, e_max: float,
                      m_min: int, m_max: int) -> list[EigenState]:
     """All eigenstates with energy <= e_max and orbital number in [m_min, m_max].
@@ -190,10 +195,7 @@ def enumerate_states(cfg: FluxConfig, e_max: float,
                 break
             tag = "zero_mode" if e_frac == 0 else "regular"
             xi = float(-n)
-            if tag == "zero_mode":
-                norm = 1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - m - alpha)))
-            else:
-                norm = _norm_regular(n, am)
+            norm = _norm_zero_mode(m + alpha) if tag == "zero_mode" else _norm_regular(n, am)
             push(EigenState(StateLabel(n, m, sigma_reg, tag), float(e_frac), xi, norm), e_frac)
             n += 1
 
@@ -214,10 +216,9 @@ def enumerate_states(cfg: FluxConfig, e_max: float,
 
         # zero modes for alpha >= 0 (sigma = -1/2, square integrable iff m+alpha < 1)
         if alpha >= 0 and m + alpha < 1.0 and 0 <= e_max_f:
-            norm = 1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - m - alpha)))
             xi_f = (abs(m + alpha_f) + m + alpha_f) / 2
-            push(EigenState(StateLabel(0, m, -0.5, "zero_mode"), 0.0, float(xi_f), norm),
-                 Fraction(0))
+            push(EigenState(StateLabel(0, m, -0.5, "zero_mode"), 0.0, float(xi_f),
+                            _norm_zero_mode(m + alpha)), Fraction(0))
 
     out.sort(key=lambda row: row[:3])
     return [row[3] for row in out]

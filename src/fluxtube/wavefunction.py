@@ -33,13 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .specfun import gauss_laguerre, laguerre, laguerre_deriv
-from .spectrum import StateLabel, energy_regular
+from .spectrum import (FluxConfig, StateLabel, _norm_regular, _norm_zero_mode,
+                       energy_regular)
 
 __all__ = [
     "NonNormalizableError",
     "ZeroEnergyError",
     "SpinSelectionError",
-    "QuadratureSpec",
     "RadialProfile",
     "psi_regular",
     "psi_zero_mode",
@@ -50,6 +50,13 @@ __all__ = [
 
 RAISE = "raise_Qdag"
 LOWER = "lower_Q"
+
+# Hamiltonian residual stencil: finite-difference step, grid start, distance
+# kept from the end of the profile grid, and number of check points.
+_RESID_H = 1e-3
+_RESID_R_LO = 0.2
+_RESID_MARGIN = 2.0
+_RESID_NPTS = 241
 
 
 class NonNormalizableError(ValueError):
@@ -62,21 +69,6 @@ class ZeroEnergyError(ValueError):
 
 class SpinSelectionError(ValueError):
     """Supercharge applied to the spin component it annihilates identically."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How radial inner products are evaluated.
-
-    ``nodes`` generalized Gauss–Laguerre points; exact for reduced-factor
-    products of polynomial degree <= 2*nodes - 1.  ``r_max`` is the radial
-    cutoff used when *gridding* profiles (the quadrature itself needs no
-    cutoff); profile builders enforce r_max >= sqrt(2 E) + 8.
-    """
-
-    scheme: str = "gauss_laguerre_z"
-    nodes: int = 200
-    r_max: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +114,11 @@ class RadialProfile:
         return float(out) if out.ndim == 0 else out
 
 
+def _zero(z):
+    """The identically vanishing reduced factor (and its derivatives)."""
+    return 0.0 * np.asarray(z, dtype=float)
+
+
 def _default_grid(energy: float, r_max: float | None, npoints: int) -> np.ndarray:
     if r_max is None:
         r_max = math.sqrt(2.0 * max(energy, 0.0)) + 10.0
@@ -154,16 +151,16 @@ def psi_regular(n: int, m: int, alpha: float, *,
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
     am = abs(m + alpha)
-    sigma = 0.5 if alpha >= 0 else -0.5
     energy = energy_regular(n, m, alpha)
+    sigma = FluxConfig(alpha).regular_sigma
     tag = "zero_mode" if energy == 0.0 else "regular"
-    norm = math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(am + n + 1.0))) / math.sqrt(math.pi)
+    norm = _norm_regular(n, am)
     g = lambda z: norm * laguerre(n, am, z)
     gp = lambda z: norm * laguerre_deriv(n, am, z)
     if n >= 2:
         gpp = lambda z: norm * laguerre(n - 2, am + 2.0, z)
     else:
-        gpp = lambda z: 0.0 * np.asarray(z, dtype=float)
+        gpp = _zero
     return _build(StateLabel(n, m, sigma, tag), energy, alpha, am,
                   g, gp, gpp, r_max, npoints)
 
@@ -185,11 +182,10 @@ def psi_zero_mode(m: int, alpha: float, *,
         raise ValueError(
             "for alpha < 0 the spin-down component is regular at the origin; "
             f"no zero mode exists at m + alpha = {ma} > 0")
-    norm = 1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - ma)))
-    zero = lambda z: 0.0 * np.asarray(z, dtype=float)
+    norm = _norm_zero_mode(ma)
     return _build(StateLabel(0, m, -0.5, "zero_mode"), 0.0, alpha, -ma,
                   lambda z: norm * np.ones_like(np.asarray(z, dtype=float)),
-                  zero, zero, r_max, npoints)
+                  _zero, _zero, r_max, npoints)
 
 
 def apply_supercharge(profile: RadialProfile, direction: str, *,
@@ -231,12 +227,11 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
         raise ZeroEnergyError("cannot normalize a supercharge image at E = 0")
     if profile.label.sigma != need_sigma:
         if energy == 0.0:
-            zero = lambda z: 0.0 * np.asarray(z, dtype=float)
             label = StateLabel(profile.label.n, profile.label.m + dm,
                                -profile.label.sigma, "superpartner")
             return RadialProfile(label, 0.0, profile.alpha,
                                  profile.exponent + 1.0, profile.grid,
-                                 np.zeros_like(profile.grid), zero, zero, zero)
+                                 np.zeros_like(profile.grid), _zero, _zero, _zero)
         raise SpinSelectionError(
             f"{direction} annihilates sigma={profile.label.sigma:+.1f} states "
             "through the spin structure; only the opposite spin has a radial image")
@@ -276,32 +271,27 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
     return replace(prof, values=prof.analytic(profile.grid))
 
 
-def inner_product(p1: RadialProfile, p2: RadialProfile,
-                  spec: QuadratureSpec | None = None) -> float:
+def inner_product(p1: RadialProfile, p2: RadialProfile, nodes: int = 200) -> float:
     """2-D radial inner product int_0^inf psi1 psi2 2 pi r dr.
 
     Profiles in different angular or spin channels are orthogonal by the
     angular/spinor integration: that case returns exactly 0.0 without
     quadrature.  Otherwise the z = r^2 substitution reduces the integral to
     the weight z^gamma e^-z with gamma = (e1 + e2)/2 > -1, evaluated by the
-    matching generalized Gauss–Laguerre rule (exact for polynomial reduced
-    factors up to degree 2*nodes - 1).
+    matching ``nodes``-point generalized Gauss–Laguerre rule (exact for
+    polynomial reduced factors up to degree 2*nodes - 1).
     """
     if p1.label.m != p2.label.m or p1.label.sigma != p2.label.sigma:
         return 0.0
-    if spec is None:
-        spec = QuadratureSpec()
     gamma = 0.5 * (p1.exponent + p2.exponent)
     if gamma <= -1.0:
         raise NonNormalizableError(
             f"inner product diverges at the origin (z-weight exponent {gamma})")
-    z, w = gauss_laguerre(spec.nodes, gamma)
+    z, w = gauss_laguerre(nodes, gamma)
     return math.pi * float(np.dot(w, p1.reduced(z) * p2.reduced(z)))
 
 
-def hamiltonian_residual(profile: RadialProfile, *, h: float = 1e-3,
-                         r_lo: float = 0.2, margin: float = 2.0,
-                         npts: int = 241) -> float:
+def hamiltonian_residual(profile: RadialProfile) -> float:
     """max_r |H psi - E psi| over an interior grid, via 4th-order stencils.
 
     H is the radial Hamiltonian of the (m, sigma) channel,
@@ -311,13 +301,15 @@ def hamiltonian_residual(profile: RadialProfile, *, h: float = 1e-3,
 
     with derivatives taken numerically (5-point, O(h^4)) from the profile's
     analytic evaluator — an independent check that deliberately avoids the
-    analytic derivative closures.  The grid spans [r_lo, r_max - margin] to
+    analytic derivative closures.  The step is ``_RESID_H`` and the
+    ``_RESID_NPTS`` grid points span [_RESID_R_LO, r_max - _RESID_MARGIN] to
     stay away from the origin power law and the underflow tail.
     """
-    r_hi = float(profile.grid[-1]) - margin
-    if r_hi <= r_lo:
+    h = _RESID_H
+    r_hi = float(profile.grid[-1]) - _RESID_MARGIN
+    if r_hi <= _RESID_R_LO:
         raise ValueError("profile grid too short for an interior residual check")
-    r = np.linspace(r_lo, r_hi, npts)
+    r = np.linspace(_RESID_R_LO, r_hi, _RESID_NPTS)
     f = profile.analytic
     fm2, fm1, f0, fp1, fp2 = (f(r - 2 * h), f(r - h), f(r), f(r + h), f(r + 2 * h))
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)

@@ -14,7 +14,6 @@ import pytest
 from fluxtube import (
     LOWER,
     RAISE,
-    QuadratureSpec,
     apply_supercharge,
     hamiltonian_residual,
     inner_product,
@@ -237,5 +236,5 @@ def test_hamiltonian_residual_detects_perturbation():
 def test_quadrature_spec_node_count_insensitive():
     prof = psi_regular(2, -1, 0.5)
     full = inner_product(prof, prof)
-    small = inner_product(prof, prof, QuadratureSpec(nodes=48))
+    small = inner_product(prof, prof, nodes=48)
     assert small == pytest.approx(full, abs=1e-13)
