@@ -126,13 +126,22 @@ def _parse_m_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
     return lo, hi
 
 
-def _parse_radii(text: str, parser: argparse.ArgumentParser) -> list[float]:
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
     try:
-        radii = [float(tok) for tok in text.split(",") if tok.strip()]
+        value = float(text)
     except ValueError:
-        parser.error(f"--R expects comma-separated radii, got {text!r}")
+        value = math.nan  # reported as not finite, like nan and inf
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _radii(text: str) -> list[float]:
+    """argparse type: comma-separated positive finite radii."""
+    radii = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
     if not radii or any(r <= 0 for r in radii):
-        parser.error("--R needs at least one positive radius")
+        raise argparse.ArgumentTypeError("needs at least one positive radius")
     return radii
 
 
@@ -205,6 +214,8 @@ def _cmd_spectrum(args, parser) -> int:
 # wavefunction
 
 def _cmd_wavefunction(args, parser) -> int:
+    if args.points < 1:
+        parser.error("--points must be >= 1")
     if args.zero_mode:
         if args.n is not None:
             parser.error("--zero-mode does not take --n (zero modes have n = 0)")
@@ -272,18 +283,14 @@ def _cmd_wavefunction(args, parser) -> int:
 # regularize
 
 def _cmd_regularize(args, parser) -> int:
-    radii = _parse_radii(args.R, parser)
     if args.sigma is None:
-        try:
-            sigma = FluxConfig(args.alpha).regular_sigma
-        except ValueError as exc:
-            parser.error(str(exc))
+        sigma = FluxConfig(args.alpha).regular_sigma
     else:
         sigma = _parse_sigma(args.sigma, parser)
     if args.nmax < 0:
         parser.error("--nmax must be >= 0")
 
-    rows_data = xi_limit_table(args.m, sigma, args.alpha, radii,
+    rows_data = xi_limit_table(args.m, sigma, args.alpha, args.R,
                                n_max=args.nmax, verify=args.verify)
 
     columns = ["R[lambda]", "n", "xi", "energy[hbar*omega]", "deviation",
@@ -306,7 +313,7 @@ def _cmd_regularize(args, parser) -> int:
         "alpha": args.alpha,
         "m": args.m,
         "sigma": sigma,
-        "radii": radii,
+        "radii": args.R,
         "n_max": args.nmax,
         "verified_against_oracle": bool(args.verify),
         "deviation": "xi_n + n (signed distance to the point-flux tower)",
@@ -515,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "writes a .json sidecar)")
 
     p = sub.add_parser("spectrum", help="enumerate eigenstates below a cutoff")
-    p.add_argument("--alpha", type=float, required=True,
+    p.add_argument("--alpha", type=_finite_float, required=True,
                    help="tube flux in units of the flux quantum")
-    p.add_argument("--emax", type=float, default=6.0,
+    p.add_argument("--emax", type=_finite_float, default=6.0,
                    help="energy cutoff in hbar*omega (default 6)")
     p.add_argument("--m", default="-3..3",
                    help="orbital window as A..B or a single integer; write "
@@ -525,13 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-vacancy", action="store_true",
                    help="at integer alpha, mark the states deleted by a "
                         "vanishing-at-origin boundary condition")
-    p.add_argument("--si", type=float, metavar="B_TESLA",
+    p.add_argument("--si", type=_finite_float, metavar="B_TESLA",
                    help="also print SI energies for this field strength")
     add_output(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="export a radial eigenfunction")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--n", type=int, help="radial quantum number (regular branch)")
     p.add_argument("--m", type=int, required=True, help="orbital quantum number")
     p.add_argument("--sigma", choices=("+", "-"),
@@ -541,18 +548,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--superpartner", action="store_true",
                    help="add the supercharge image (m shifted, spin flipped) "
                         "as a third column")
-    p.add_argument("--rmax", type=float, help="grid end (default sqrt(2E)+10)")
+    p.add_argument("--rmax", type=_finite_float, help="grid end (default sqrt(2E)+10)")
     p.add_argument("--points", type=int, default=800, help="grid points (default 800)")
     add_output(p)
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("regularize",
                        help="finite flux shell: spectral migration as R shrinks")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sigma", choices=("+", "-"),
                    help="spin projection (default: the regular branch for alpha)")
-    p.add_argument("--R", required=True,
+    p.add_argument("--R", type=_radii, required=True,
                    help="comma-separated shell radii in lambda, e.g. 0.5,0.2,0.1")
     p.add_argument("--nmax", type=int, default=2,
                    help="track roots n = 0..nmax (default 2)")
@@ -562,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("verify", help="run the built-in self-check suites")
-    p.add_argument("--tolerance", type=float, default=1.0,
+    p.add_argument("--tolerance", type=_finite_float, default=1.0,
                    help="scale factor applied to every check tolerance (default 1)")
     p.add_argument("--only", choices=tuple(_SUITES),
                    help="run a single suite")

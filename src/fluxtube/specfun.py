@@ -17,7 +17,7 @@ The evaluation strategy for U follows the classical regime split:
   truncation [DLMF 13.7.3], accepted only when the smallest term certifies
   a relative error below 1e-9
 * everything else: the Laplace integral representation [DLMF 13.4.4]
-  evaluated by adaptive quadrature for a > 0, extended to a <= 0 by the
+  on a 30-node Gauss-Laguerre rule for a > 0, extended to a <= 0 by the
   downward contiguous recurrence in a [DLMF 13.3.7], which is stable in
   that direction because U is the recessive solution as a -> +infinity.
 
@@ -31,7 +31,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
@@ -60,6 +59,8 @@ SNAP_TOL = 1e-9
 # Branch thresholds for kummer_u (see module docstring).
 _Z_SMALL = 8.0
 _Z_ASYM = 50.0
+#: Node count of the Gauss-Laguerre rule behind the Laplace route of kummer_u.
+_LAPLACE_NODES = 30
 
 
 class DomainError(ValueError):
@@ -72,6 +73,11 @@ class PoleError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme hit its cap before reaching tolerance."""
+
+
+def _require_finite(name: str, a: float, b: float, z: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise DomainError(f"{name} needs finite arguments, got a={a!r}, b={b!r}, z={z!r}")
 
 
 def _is_nonpositive_int(x: float) -> bool:
@@ -184,8 +190,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     -----
     Designed for |z| <= 400 at ~1e-10 relative accuracy. The series cap is
     2000 terms; hitting it raises ConvergenceError rather than returning a
-    silent partial sum.
+    silent partial sum.  Non-finite arguments raise DomainError.
     """
+    _require_finite("kummer_m", a, b, z)
     if abs(b - round(b)) < SNAP_TOL and round(b) <= 0:
         raise PoleError(f"kummer_m pole: b={b!r} is a nonpositive integer")
     if z == 0.0:
@@ -268,47 +275,31 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, bool]:
     return z ** (-a) * s, ok
 
 
-def _u_laplace_pos_a(a: float, b: float, z: float) -> float:
-    """Laplace integral for U with a > 0 [DLMF 13.4.4]:
+def _u_laplace(a: float, b: float, z: float) -> float:
+    """Laplace integral for U [DLMF 13.4.4], extended to a <= 0 by recurrence:
 
     U(a,b,z) = z^-a / Gamma(a) * int_0^inf e^-u u^{a-1} (1 + u/z)^{b-a-1} du
 
-    after u = z t.  The algebraic endpoint singularity u^{a-1} is handled by
-    a QAWS-weighted panel on [0, 1]; the tail is a plain adaptive integral.
-    The integrand is positive, so there is no cancellation.
+    after u = z t; e^-u u^{a-1} is the Gauss-Laguerre weight with gamma = a-1.
+    For a <= 0 one rule at frac = a - floor(a) gives both seeds U(frac) and
+    U(frac + 1) of the downward recurrence
+    U(a-1) = (2a - b + z) U(a) - a (a - b + 1) U(a+1)   [DLMF 13.3.7],
+    which is stable because U is recessive as a -> +inf.
     """
-    c = b - a - 1.0
-    f_head = lambda u: math.exp(-u) * (1.0 + u / z) ** c
-    head = quad(f_head, 0.0, 1.0, weight="alg", wvar=(a - 1.0, 0.0),
-                epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)
-    f_tail = lambda u: math.exp(-u) * u ** (a - 1.0) * (1.0 + u / z) ** c
-    tail = quad(f_tail, 1.0, math.inf,
-                epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)
-    total = head[0] + tail[0]
-    err = head[1] + tail[1]
-    if not math.isfinite(total) or err > 1e-8 * max(abs(total), 1e-300):
+    base = a if a > 0.0 else a - math.floor(a)  # integer a <= 0 never gets here
+    nodes, weights = gauss_laguerre(_LAPLACE_NODES, base - 1.0)
+    q = 1.0 + nodes / z
+    u_mid = z ** (-base) * rgamma(base) * float(np.dot(weights, q ** (b - base - 1.0)))
+    if a <= 0.0:
+        u_hi = (z ** (-base - 1.0) * rgamma(base + 1.0)
+                * float(np.dot(weights, nodes * q ** (b - base - 2.0))))
+        ac = base
+        for _ in range(int(round(base - a))):
+            u_lo = (2.0 * ac - b + z) * u_mid - ac * (ac - b + 1.0) * u_hi
+            u_hi, u_mid = u_mid, u_lo
+            ac -= 1.0
+    if not math.isfinite(u_mid):
         raise ConvergenceError(f"kummer_u integral route failed at a={a}, b={b}, z={z}")
-    return z ** (-a) * rgamma(a) * total
-
-
-def _u_laplace(a: float, b: float, z: float) -> float:
-    """Integral-representation route, extended to a <= 0 by downward recurrence.
-
-    U is recessive as a -> +inf, so recurring toward smaller a
-    (U(a-1) = (2a - b + z) U(a) - a (a - b + 1) U(a+1), DLMF 13.3.7)
-    keeps relative errors bounded.  Seeds sit at the fractional part of a.
-    """
-    if a > 0.0:
-        return _u_laplace_pos_a(a, b, z)
-    frac = a - math.floor(a)  # in (0, 1): integer a never reaches this route
-    steps = int(round(frac - a))
-    u_hi = _u_laplace_pos_a(frac + 1.0, b, z)
-    u_mid = _u_laplace_pos_a(frac, b, z)
-    ac = frac
-    for _ in range(steps):
-        u_lo = (2.0 * ac - b + z) * u_mid - ac * (ac - b + 1.0) * u_hi
-        u_hi, u_mid = u_mid, u_lo
-        ac -= 1.0
     return u_mid
 
 
@@ -337,10 +328,12 @@ def kummer_u(a: float, b: float, z: float) -> float:
     Raises
     ------
     DomainError
-        If ``z <= 0``.
+        If ``z <= 0`` or any argument is not finite.
     ConvergenceError
-        If an internal series or quadrature fails to reach tolerance.
+        If an internal series fails to reach tolerance or the Laplace
+        integral is not finite.
     """
+    _require_finite("kummer_u", a, b, z)
     if z <= 0.0:
         raise DomainError(f"kummer_u requires z > 0, got z={z!r}")
     if b < 1.0:
@@ -409,7 +402,8 @@ def gauss_laguerre(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     Golub–Welsch on the symmetric tridiagonal Jacobi matrix of the
     L^{(gamma)} family: diagonal 2k + gamma + 1, off-diagonal
     sqrt(k (k + gamma)).  Exact for z^gamma e^-z * (polynomial of degree
-    <= 2n - 1); requires gamma > -1 for integrability.
+    <= 2n - 1); requires gamma > -1 for integrability.  The Laplace route
+    of ``kummer_u`` calls it too, once per evaluation.
 
     Returns read-only (nodes, weights) arrays; results are cached by
     (n, gamma), so do not mutate them.

@@ -220,6 +220,28 @@ def test_verify_rejects_nonpositive_tolerance(capsys):
     assert exc.value.code == 2
 
 
+# --- usage errors --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--alpha", "nan"],
+    ["spectrum", "--alpha", "0.5", "--emax", "nan"],
+    ["spectrum", "--alpha", "0.5", "--emax", "inf"],
+    ["spectrum", "--alpha", "0.5", "--si", "nan"],
+    ["wavefunction", "--alpha", "-inf", "--n", "0", "--m", "0"],
+    ["wavefunction", "--alpha", "0.5", "--n", "0", "--m", "0", "--rmax", "nan"],
+    ["wavefunction", "--alpha", "0.5", "--n", "0", "--m", "0", "--points", "0"],
+    ["regularize", "--alpha", "inf", "--m", "0", "--R", "0.5"],
+    ["regularize", "--alpha", "0.5", "--m", "0", "--R", "inf"],
+    ["regularize", "--alpha", "0.5", "--m", "0", "--R", "0.5,nan"],
+    ["verify", "--tolerance", "nan"],
+])
+def test_non_finite_numbers_and_empty_grid_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 # --- output plumbing -----------------------------------------------------------
 
 def test_csv_output_with_sidecar(tmp_path, capsys):

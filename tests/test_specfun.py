@@ -12,6 +12,9 @@ series, and the b < 1 lift.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +213,34 @@ def test_pole_and_domain_errors():
         gauss_laguerre(0, 0.5)
     with pytest.raises(DomainError):
         gauss_laguerre(10, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_are_domain_errors(bad):
+    for args in [(bad, 1.5, 2.0), (0.5, bad, 2.0), (0.5, 1.5, bad)]:
+        with pytest.raises(DomainError):
+            kummer_u(*args)
+        with pytest.raises(DomainError):
+            kummer_m(*args)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_laplace_integral_is_a_convergence_error():
+    # z in (8, 50] runs the Laplace route; (1 + u/z)^(b - a - 1) overflows
+    for a in (0.5, -2.5):  # the rule alone, and the rule plus the recurrence
+        with pytest.raises(ConvergenceError):
+            kummer_u(a, 800.0, 20.0)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # kummer_u's Laplace route runs on gauss_laguerre, not scipy.integrate.quad
+    code = "import sys, fluxtube; print('scipy.integrate' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_digamma_recurrence():
