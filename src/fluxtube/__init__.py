@@ -34,7 +34,6 @@ from .regularization import (
     MatchResult,
     inside_solution,
     outside_solution,
-    matching_function,
     find_xi_roots,
     xi_limit_table,
     u_zero_scan,
@@ -63,7 +62,6 @@ __all__ = [
     "MatchResult",
     "inside_solution",
     "outside_solution",
-    "matching_function",
     "find_xi_roots",
     "xi_limit_table",
     "u_zero_scan",

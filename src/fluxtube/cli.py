@@ -13,7 +13,9 @@ JSON document instead.  When ``--output`` is used with CSV, a JSON sidecar
 ``<output>.json`` records the run's parameters and column metadata.  A
 relative ``--output`` is resolved inside ``$FLUXTUBE_OUTDIR`` when that is
 set.  Exit codes: 0 success, 1 verification/convergence failure, 2 usage
-error.
+error.  A ``ValueError`` from the library (an argument it rejects) is a
+usage error, exit 2; an ``ArithmeticError`` or ``RuntimeError`` (a
+numerical failure) exits 1.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .specfun import gauss_laguerre, kummer_m, kummer_u, laguerre, digamma
 from .wavefunction import (
     LOWER,
     RAISE,
-    NonNormalizableError,
-    ZeroEnergyError,
     apply_supercharge,
     hamiltonian_residual,
     inner_product,
@@ -104,26 +104,19 @@ def _emit(args, columns: list[str], rows: list[list], meta: dict) -> None:
         sys.stdout.write(text)
 
 
-def _parse_sigma(text: str, parser: argparse.ArgumentParser) -> float:
-    if text == "+":
-        return 0.5
-    if text == "-":
-        return -0.5
-    parser.error(f"--sigma must be '+' or '-', got {text!r}")
+_SIGMA = {"+": 0.5, "-": -0.5}
 
 
-def _parse_m_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
+def _m_range(text: str) -> tuple[int, int]:
+    """argparse type: an integer m, or an A..B range of them."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
+            return int(lo_s), int(hi_s)
+        return int(text), int(text)
     except ValueError:
-        parser.error(f"--m expects an integer or A..B range, got {text!r}")
-    if hi < lo:
-        parser.error(f"--m range is empty: {text!r}")
-    return lo, hi
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or A..B range, got {text!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -148,8 +141,8 @@ def _radii(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _cmd_spectrum(args, parser) -> int:
-    m_min, m_max = _parse_m_range(args.m, parser)
+def _cmd_spectrum(args) -> int:
+    m_min, m_max = args.m
     cfg = FluxConfig(args.alpha)
     states = enumerate_states(cfg, args.emax, m_min, m_max)
 
@@ -170,8 +163,6 @@ def _cmd_spectrum(args, parser) -> int:
 
     si = None
     if args.si is not None:
-        if args.si <= 0:
-            parser.error("--si expects a positive field strength in tesla")
         si = magnetic_units(args.si)
         columns += ["energy[J]", "energy[meV]"]
         meta["si"] = {
@@ -183,9 +174,6 @@ def _cmd_spectrum(args, parser) -> int:
 
     excluded = None
     if args.compare_vacancy:
-        if args.alpha != int(args.alpha):
-            parser.error("--compare-vacancy needs integer alpha "
-                         "(the vacancy line sits at m + alpha = 0)")
         comp = vacancy_line_compare(args.alpha, args.emax, m_min, m_max)
         excluded = {(s.label.n, s.label.m, s.label.sigma, s.label.tag)
                     for s in comp.missing_under_vanishing}
@@ -213,42 +201,29 @@ def _cmd_spectrum(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # wavefunction
 
-def _cmd_wavefunction(args, parser) -> int:
-    if args.points < 1:
-        parser.error("--points must be >= 1")
+def _cmd_wavefunction(args) -> int:
     if args.zero_mode:
         if args.n is not None:
-            parser.error("--zero-mode does not take --n (zero modes have n = 0)")
-        try:
-            prof = psi_zero_mode(args.m, args.alpha, r_max=args.rmax,
-                                 npoints=args.points)
-        except (NonNormalizableError, ValueError) as exc:
-            parser.error(str(exc))
-        if args.sigma is not None and _parse_sigma(args.sigma, parser) != -0.5:
-            parser.error("zero modes carry sigma = -1/2")
+            raise ValueError("--zero-mode does not take --n (zero modes have n = 0)")
+        prof = psi_zero_mode(args.m, args.alpha, r_max=args.rmax,
+                             npoints=args.points)
+        if args.sigma is not None and _SIGMA[args.sigma] != -0.5:
+            raise ValueError("zero modes carry sigma = -1/2")
     else:
         if args.n is None:
-            parser.error("--n is required unless --zero-mode is given")
-        try:
-            prof = psi_regular(args.n, args.m, args.alpha, r_max=args.rmax,
-                               npoints=args.points)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.sigma is not None:
-            want = _parse_sigma(args.sigma, parser)
-            if want != prof.label.sigma:
-                parser.error(
-                    f"for alpha = {args.alpha:g} the regular branch carries "
-                    f"sigma = {prof.label.sigma:+g}; the opposite spin holds "
-                    "superpartners (--superpartner) and zero modes (--zero-mode)")
+            raise ValueError("--n is required unless --zero-mode is given")
+        prof = psi_regular(args.n, args.m, args.alpha, r_max=args.rmax,
+                           npoints=args.points)
+        if args.sigma is not None and _SIGMA[args.sigma] != prof.label.sigma:
+            raise ValueError(
+                f"for alpha = {args.alpha:g} the regular branch carries "
+                f"sigma = {prof.label.sigma:+g}; the opposite spin holds "
+                "superpartners (--superpartner) and zero modes (--zero-mode)")
 
     partner = None
     if args.superpartner:
         direction = RAISE if prof.label.sigma == 0.5 else LOWER
-        try:
-            partner = apply_supercharge(prof, direction)
-        except ZeroEnergyError as exc:
-            parser.error(f"{exc} (zero modes are annihilated, not paired)")
+        partner = apply_supercharge(prof, direction)
 
     columns = ["r[lambda]", "psi[1/lambda]"]
     rows = [[float(r), float(v)] for r, v in zip(prof.grid, prof.values)]
@@ -282,13 +257,11 @@ def _cmd_wavefunction(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # regularize
 
-def _cmd_regularize(args, parser) -> int:
+def _cmd_regularize(args) -> int:
     if args.sigma is None:
         sigma = FluxConfig(args.alpha).regular_sigma
     else:
-        sigma = _parse_sigma(args.sigma, parser)
-    if args.nmax < 0:
-        parser.error("--nmax must be >= 0")
+        sigma = _SIGMA[args.sigma]
 
     rows_data = xi_limit_table(args.m, sigma, args.alpha, args.R,
                                n_max=args.nmax, verify=args.verify)
@@ -325,13 +298,7 @@ def _cmd_regularize(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(suite, name, value, tol):
-    return {"suite": suite, "name": name, "value": float(value),
-            "tolerance": float(tol), "passed": bool(value <= tol)}
-
-
 def _verify_specfun(scale):
-    checks = []
     # U at nonpositive integer a is a Laguerre polynomial
     worst = 0.0
     for n, b, z in [(0, 1.5, 0.3), (2, 1.5, 2.0), (4, 2.25, 7.0), (3, 1.0, 0.5),
@@ -339,7 +306,7 @@ def _verify_specfun(scale):
         u = kummer_u(-float(n), b, z)
         ref = (-1.0) ** n * math.factorial(n) * float(laguerre(n, b - 1.0, z))
         worst = max(worst, abs(u - ref) / max(abs(ref), 1e-300))
-    checks.append(_check("specfun", "u_laguerre_identity", worst, 1e-12 * scale))
+    yield "u_laguerre_identity", worst, 1e-12 * scale
 
     # contiguous recurrence in a (exercises the integral/recurrence regime)
     worst = 0.0
@@ -349,14 +316,14 @@ def _verify_specfun(scale):
         rhs = (2.0 * a - b + z) * kummer_u(a, b, z) \
             - a * (a - b + 1.0) * kummer_u(a + 1.0, b, z)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    checks.append(_check("specfun", "u_contiguous_recurrence", worst, 1e-9 * scale))
+    yield "u_contiguous_recurrence", worst, 1e-9 * scale
 
     # Kummer transformation of M
     worst = 0.0
     for a, b, z in [(0.7, 1.5, 3.0), (-1.2, 2.5, 6.0), (2.3, 1.2, 10.0)]:
         worst = max(worst, abs(kummer_m(a, b, z) - math.exp(z) * kummer_m(b - a, b, -z))
                     / abs(kummer_m(a, b, z)))
-    checks.append(_check("specfun", "m_kummer_transformation", worst, 1e-10 * scale))
+    yield "m_kummer_transformation", worst, 1e-10 * scale
 
     # quadrature moments against Gamma
     z, w = gauss_laguerre(40, 0.7)
@@ -365,24 +332,21 @@ def _verify_specfun(scale):
         mom = float(np.dot(w, z ** k))
         ref = math.exp(math.lgamma(0.7 + k + 1.0))
         worst = max(worst, abs(mom - ref) / ref)
-    checks.append(_check("specfun", "quadrature_moments", worst, 1e-12 * scale))
+    yield "quadrature_moments", worst, 1e-12 * scale
 
     # digamma recurrence
     worst = max(abs(digamma(x + 1.0) - digamma(x) - 1.0 / x)
                 for x in (0.3, 1.7, 4.2, 9.9, -2.3))
-    checks.append(_check("specfun", "digamma_recurrence", worst, 1e-12 * scale))
-    return checks
+    yield "digamma_recurrence", worst, 1e-12 * scale
 
 
 def _verify_spectrum(scale):
-    checks = []
     # alpha -> 0 limit lands on the Landau levels
     states = enumerate_states(FluxConfig(1e-9), 3.4, -3, 3)
     base = enumerate_states(FluxConfig(0.0), 3.4, -3, 3)
-    checks.append(_check("spectrum", "landau_limit_count",
-                         abs(len(states) - len(base)), 0.5))
+    yield "landau_limit_count", abs(len(states) - len(base)), 0.5
     worst = max(abs(s.energy - round(s.energy)) for s in states)
-    checks.append(_check("spectrum", "landau_limit_energy", worst, 1e-8 * scale))
+    yield "landau_limit_energy", worst, 1e-8 * scale
 
     # every superpartner has a positive-energy source at (n, m -+ 1)
     worst = 0.0
@@ -391,27 +355,24 @@ def _verify_spectrum(scale):
             continue
         src_e = energy_regular(s.label.n, s.label.m - 1, 0.5)
         worst = max(worst, abs(s.energy - src_e), 1.0 if src_e <= 0 else 0.0)
-    checks.append(_check("spectrum", "superpartner_pairing", worst, 1e-12 * scale))
-    return checks
+    yield "superpartner_pairing", worst, 1e-12 * scale
 
 
 def _verify_susy(scale):
-    checks = []
     p = psi_regular(1, 0, 0.5)
     q_raw = apply_supercharge(p, RAISE, normalized=False)
-    checks.append(_check("susy", "supercharge_norm_identity",
-                         abs(inner_product(q_raw, q_raw) - p.energy), 1e-10 * scale))
+    yield ("supercharge_norm_identity",
+           abs(inner_product(q_raw, q_raw) - p.energy), 1e-10 * scale)
     q = apply_supercharge(p, RAISE)
     back = apply_supercharge(q, LOWER)
     r = np.linspace(0.05, 8.0, 400)
-    checks.append(_check("susy", "supercharge_recovery",
-                         float(np.max(np.abs(back.analytic(r) - p.analytic(r)))),
-                         1e-10 * scale))
+    yield ("supercharge_recovery",
+           float(np.max(np.abs(back.analytic(r) - p.analytic(r)))),
+           1e-10 * scale)
     zm = psi_zero_mode(0, 0.5)
     ann = apply_supercharge(zm, LOWER, normalized=False)
-    checks.append(_check("susy", "zero_mode_annihilation",
-                         float(np.max(np.abs(ann.values))), 1e-10 * scale))
-    return checks
+    yield ("zero_mode_annihilation",
+           float(np.max(np.abs(ann.values))), 1e-10 * scale)
 
 
 def _verify_residual(scale):
@@ -423,36 +384,32 @@ def _verify_residual(scale):
         psi_zero_mode(0, 0.7),
     ]
     worst = max(hamiltonian_residual(p) for p in profiles)
-    return [_check("residual", "eigen_equation_residual", worst, 1e-7 * scale)]
+    yield "eigen_equation_residual", worst, 1e-7 * scale
 
 
 def _verify_regularization(scale):
-    checks = []
     devs = {}
     worst_res = 0.0
     for radius in (0.5, 0.2):
         roots = find_xi_roots(TubeModel(radius, 0.5, 0, 0.5), n_max=2)
         devs[radius] = [abs(r.xi + n) for n, r in enumerate(roots)]
         worst_res = max(worst_res, max(r.residual for r in roots))
-    checks.append(_check("regularization", "matching_residual",
-                         worst_res, 1e-10 * scale))
+    yield "matching_residual", worst_res, 1e-10 * scale
     ratio = max(d2 / d5 for d2, d5 in zip(devs[0.2], devs[0.5]))
-    checks.append(_check("regularization", "deviation_shrinks", ratio, 0.5))
-    return checks
+    yield "deviation_shrinks", ratio, 0.5
 
 
 def _verify_oracle(scale):
-    checks = []
     evs = oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=-0.5),
                              e_min=-0.3, e_max=2.6)
     worst = max(abs(e - n) for n, e in enumerate(evs)) if len(evs) == 3 else 1.0
-    checks.append(_check("oracle", "landau_levels", worst, 1e-8 * scale))
+    yield "landau_levels", worst, 1e-8 * scale
 
     evs = oracle_eigenvalues(ShootingProblem(alpha=0.6, m=1, sigma=0.5),
                              e_min=-0.3, e_max=4.7)
     worst = (max(abs(e - energy_regular(n, 1, 0.6)) for n, e in enumerate(evs))
              if len(evs) == 3 else 1.0)
-    checks.append(_check("oracle", "flux_channel_vs_closed_form", worst, 1e-8 * scale))
+    yield "flux_channel_vs_closed_form", worst, 1e-8 * scale
 
     evs = oracle_eigenvalues(
         ShootingProblem(alpha=0.5, m=0, sigma=0.5, shell_radius=0.2),
@@ -460,8 +417,7 @@ def _verify_oracle(scale):
     roots = find_xi_roots(TubeModel(0.2, 0.5, 0, 0.5), n_max=2)
     worst = (max(abs(e - r.energy) for e, r in zip(evs, roots))
              if len(evs) == 3 else 1.0)
-    checks.append(_check("oracle", "shell_matching_cross_check", worst, 1e-7 * scale))
-    return checks
+    yield "shell_matching_cross_check", worst, 1e-7 * scale
 
 
 _SUITES = {
@@ -475,17 +431,21 @@ _SUITES = {
 
 
 def run_verification(scale: float = 1.0, only: str | None = None) -> list[dict]:
-    """Run the self-check suites; returns one record per check."""
+    """Run the self-check suites; returns one record per check.
+
+    ``scale`` multiplies every scaled tolerance and must be positive
+    (ValueError otherwise).
+    """
+    if not scale > 0:
+        raise ValueError(f"tolerance scale must be positive, got {scale!r}")
     suites = [only] if only else list(_SUITES)
-    checks = []
-    for name in suites:
-        checks.extend(_SUITES[name](scale))
-    return checks
+    return [{"suite": suite, "name": name, "value": float(value),
+             "tolerance": float(tol), "passed": bool(value <= tol)}
+            for suite in suites
+            for name, value, tol in _SUITES[suite](scale)]
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be a positive scale factor")
+def _cmd_verify(args) -> int:
     checks = run_verification(scale=args.tolerance, only=args.only)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -526,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tube flux in units of the flux quantum")
     p.add_argument("--emax", type=_finite_float, default=6.0,
                    help="energy cutoff in hbar*omega (default 6)")
-    p.add_argument("--m", default="-3..3",
+    p.add_argument("--m", type=_m_range, default="-3..3",
                    help="orbital window as A..B or a single integer; write "
                         "--m=-3..3 when it starts with a minus (default -3..3)")
     p.add_argument("--compare-vacancy", action="store_true",
@@ -584,7 +544,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,7 +43,6 @@ __all__ = [
     "LimitRow",
     "inside_solution",
     "outside_solution",
-    "matching_function",
     "matching_wronskian",
     "find_xi_roots",
     "xi_limit_table",
@@ -114,34 +113,12 @@ def outside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, 
     return val, der
 
 
-def _terms(model: TubeModel, energy: float) -> tuple[float, float, float, float, float]:
+def matching_wronskian(model: TubeModel, energy: float) -> tuple[float, float]:
+    """(W, scale): pole-free cross form and the sum of its term magnitudes."""
     r = model.radius
     vi, di = inside_solution(model, energy, r)
     vo, do = outside_solution(model, energy, r)
     jump = 2.0 * model.sigma * model.alpha / r
-    return vi, di, vo, do, jump
-
-
-def matching_function(model: TubeModel, energy: float) -> float:
-    """F(E): the logarithmic-derivative jump defect at the shell.
-
-    Zero exactly at shell eigenvalues.  Normalized against the interior
-    amplitude; if psi_in(R) happens to vanish the roles are swapped so the
-    value stays finite (the cross form `matching_wronskian` has no such
-    poles and is what the root scan uses).
-    """
-    vi, di, vo, do, jump = _terms(model, energy)
-    w = do * vi - di * vo - jump * vo * vi
-    if abs(vi) >= abs(vo):
-        if vi == 0.0:
-            raise ZeroDivisionError("both solutions vanish at the shell")
-        return w / vi
-    return w / vo
-
-
-def matching_wronskian(model: TubeModel, energy: float) -> tuple[float, float]:
-    """(W, scale): pole-free cross form and the sum of its term magnitudes."""
-    vi, di, vo, do, jump = _terms(model, energy)
     t1 = do * vi
     t2 = -di * vo
     t3 = -jump * vo * vi
@@ -241,9 +218,11 @@ def xi_limit_table(m: int, sigma: float, alpha: float, radii, n_max: int = 2, *,
             from .oracle import ShootingProblem, oracle_eigenvalues
 
             e_hi = model.energy_from_xi(-(n_max + 0.6))
+            # past the decay region of the levels, and past the shell itself
+            wall = math.sqrt(2.0 * max(e_hi, 1.0)) + 8.0
             problem = ShootingProblem(alpha=alpha, m=m, sigma=sigma,
                                       shell_radius=radius,
-                                      r_max=math.sqrt(2.0 * max(e_hi, 1.0)) + 8.0)
+                                      r_max=max(wall, radius + 2.0))
             oracle_evs = oracle_eigenvalues(problem, e_min=-0.3, e_max=e_hi)
         for n in range(n_max + 1):
             if n >= len(roots):

@@ -120,6 +120,8 @@ def _zero(z):
 
 
 def _default_grid(energy: float, r_max: float | None, npoints: int) -> np.ndarray:
+    if npoints < 1:
+        raise ValueError(f"npoints must be >= 1, got {npoints!r}")
     if r_max is None:
         r_max = math.sqrt(2.0 * max(energy, 0.0)) + 10.0
     lo = math.sqrt(2.0 * max(energy, 0.0)) + 8.0
@@ -224,7 +226,8 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
 
     energy = profile.energy
     if normalized and energy <= 0.0:
-        raise ZeroEnergyError("cannot normalize a supercharge image at E = 0")
+        raise ZeroEnergyError("cannot normalize a supercharge image at E = 0 "
+                              "(zero modes are annihilated, not paired)")
     if profile.label.sigma != need_sigma:
         if energy == 0.0:
             label = StateLabel(profile.label.n, profile.label.m + dm,

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from fluxtube.cli import main
+from fluxtube.cli import main, run_verification
 
 
 def run_cli(argv, capsys):
@@ -220,6 +220,11 @@ def test_verify_rejects_nonpositive_tolerance(capsys):
     assert exc.value.code == 2
 
 
+def test_run_verification_rejects_nonpositive_scale():
+    with pytest.raises(ValueError, match="scale"):
+        run_verification(scale=0)
+
+
 # --- usage errors --------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -240,6 +245,36 @@ def test_non_finite_numbers_and_empty_grid_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--alpha", "0.5", "--si", "-1"], "field strength must be positive"),
+    (["spectrum", "--alpha", "0.5", "--si", "0"], "field strength must be positive"),
+    (["spectrum", "--alpha", "0.5", "--m=3..1"], "empty m window: [3, 1]"),
+    (["spectrum", "--alpha", "0.5", "--m=x"], "integer or A..B range, got 'x'"),
+    (["spectrum", "--alpha", "0.5", "--compare-vacancy"],
+     "vacancy line exists only at integer alpha"),
+    (["regularize", "--alpha", "0.5", "--m", "0", "--R", "0.5", "--nmax", "-1"],
+     "n_max must be >= 0"),
+    (["wavefunction", "--alpha", "0.5", "--n", "0", "--m", "0", "--points", "0"],
+     "npoints must be >= 1"),
+    (["wavefunction", "--alpha", "0.5", "--m", "0", "--zero-mode", "--n", "1"],
+     "--zero-mode does not take --n"),
+    (["wavefunction", "--alpha", "0.5", "--m", "0", "--zero-mode", "--sigma", "+"],
+     "zero modes carry sigma = -1/2"),
+    (["wavefunction", "--alpha", "0.5", "--n", "0", "--m", "0", "--sigma", "-"],
+     "the regular branch carries sigma = +0.5"),
+    (["wavefunction", "--alpha", "0.5", "--m", "0", "--zero-mode", "--superpartner"],
+     "zero modes are annihilated, not paired"),
+])
+def test_rejected_arguments_are_usage_errors_with_the_library_message(argv, message,
+                                                                      capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert message in err
 
 
 # --- output plumbing -----------------------------------------------------------

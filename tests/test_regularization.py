@@ -15,7 +15,6 @@ from fluxtube import (
     TubeModel,
     find_xi_roots,
     inside_solution,
-    matching_function,
     outside_solution,
     u_zero_scan,
     xi_limit_table,
@@ -120,17 +119,6 @@ def test_no_spurious_sign_changes_between_roots():
         assert flips == 0
 
 
-def test_matching_function_vanishes_exactly_at_cross_form_roots():
-    model = TubeModel(0.3, 0.5, 0, 0.5)
-    roots = find_xi_roots(model, n_max=2)
-    for res in roots:
-        assert abs(matching_function(model, res.energy)) < 1e-9
-    # and stays O(1) between them
-    for hi, lo in zip(roots, roots[1:]):
-        e_mid = model.energy_from_xi(0.5 * (hi.xi + lo.xi))
-        assert abs(matching_function(model, e_mid)) > 1e-3
-
-
 def test_inside_solution_reduces_to_gaussian_at_xi_in_zero():
     # xi_in = (|m| + m + 1 + 2 sigma)/2 - E = 0  ->  M(0, b, z) = 1
     model = TubeModel(0.2, 0.5, 0, 0.5)
@@ -167,6 +155,14 @@ def test_xi_limit_table_with_oracle_verification():
         assert row.note == ""
         assert row.oracle_energy is not None
         assert abs(row.oracle_diff) <= 1e-6
+
+
+def test_xi_limit_table_oracle_reaches_past_a_large_shell():
+    # R = 12 lies beyond the oracle's default integration end for these levels
+    rows = xi_limit_table(0, 0.5, 0.5, (12.0,), n_max=0, verify=True)
+    assert len(rows) == 1
+    assert rows[0].note == ""
+    assert abs(rows[0].oracle_diff) <= 1e-6
 
 
 def test_tube_model_validation():

@@ -207,6 +207,11 @@ def test_regular_construction_guards():
         psi_regular(0, 0, 0.5, r_max=3.0)  # decay region would be cut off
 
 
+def test_empty_grid_rejected():
+    with pytest.raises(ValueError, match="npoints"):
+        psi_regular(0, 0, 0.5, npoints=0)
+
+
 # --- eigen-equation residuals -------------------------------------------------
 
 RESIDUAL_CASES = [
