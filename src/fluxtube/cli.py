@@ -14,8 +14,8 @@ JSON document instead.  When ``--output`` is used with CSV, a JSON sidecar
 relative ``--output`` is resolved inside ``$FLUXTUBE_OUTDIR`` when that is
 set.  Exit codes: 0 success, 1 verification/convergence failure, 2 usage
 error.  A ``ValueError`` from the library (an argument it rejects) is a
-usage error, exit 2; an ``ArithmeticError`` or ``RuntimeError`` (a
-numerical failure) exits 1.
+usage error, exit 2, reported under the subcommand's usage line; an
+``ArithmeticError`` or ``RuntimeError`` (a numerical failure) exits 1.
 """
 
 from __future__ import annotations
@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--si", type=_finite_float, metavar="B_TESLA",
                    help="also print SI energies for this field strength")
     add_output(p)
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_cmd_spectrum, parser=p)
 
     p = sub.add_parser("wavefunction", help="export a radial eigenfunction")
     p.add_argument("--alpha", type=_finite_float, required=True)
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=_finite_float, help="grid end (default sqrt(2E)+10)")
     p.add_argument("--points", type=int, default=800, help="grid points (default 800)")
     add_output(p)
-    p.set_defaults(func=_cmd_wavefunction)
+    p.set_defaults(func=_cmd_wavefunction, parser=p)
 
     p = sub.add_parser("regularize",
                        help="finite flux shell: spectral migration as R shrinks")
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="cross-check each energy with the shooting oracle")
     add_output(p)
-    p.set_defaults(func=_cmd_regularize)
+    p.set_defaults(func=_cmd_regularize, parser=p)
 
     p = sub.add_parser("verify", help="run the built-in self-check suites")
     p.add_argument("--tolerance", type=_finite_float, default=1.0,
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a single suite")
     p.add_argument("--output", help="write a JSON report here "
                    "(relative paths resolve in $FLUXTUBE_OUTDIR)")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     return parser
 
@@ -546,7 +546,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

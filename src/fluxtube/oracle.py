@@ -62,8 +62,12 @@ class ShootingProblem:
     h: float = 1e-3
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"step h must be finite and positive, got {self.h!r}")
         if self.shell_radius is not None and not (0.0 < self.shell_radius < self.r_max):
             raise ValueError("shell radius must lie inside (0, r_max)")
         if not self.r_max > _R_START:

@@ -134,7 +134,7 @@ class MatchResult:
     radius: float
     bracket: tuple[float, float]
     iterations: int
-    residual: float  # |W| at the root over the sum of |term| magnitudes
+    residual: float  # |W| / sum |term|; O(1) at large-shell roots: no pass/fail flag
 
 
 def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
@@ -147,13 +147,15 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     (sigma matching the sign of alpha, and the repelled spin for alpha > 0)
     the n-th entry is the shell counterpart of the point-flux level with
     xi = -n; in the attracted channel the list instead starts with the
-    pinned zero mode where one exists.  Fewer results than requested means
-    the scan floor was reached.
+    pinned zero mode where one exists.  The scan stops 1.7 below the n_max-th
+    level of both limits, xi = -n (R -> 0) and the interior levels xi_inf - n
+    (R -> inf); fewer results mean fewer sign changes above that floor.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n_roots = n_max + 1
-    xi_floor = -(n_roots - 1) - 1.7
+    xi_inf = 0.5 * (abs(model.m + model.alpha) - abs(model.m) + model.alpha)
+    xi_floor = min(0.0, xi_inf) - n_max - 1.7
 
     def w_of_xi(xi: float) -> float:
         return matching_wronskian(model, model.energy_from_xi(xi))[0]
@@ -205,41 +207,33 @@ def xi_limit_table(m: int, sigma: float, alpha: float, radii, n_max: int = 2, *,
     structure of the channel carrying the regular point-flux branch (sigma
     matching the sign of alpha); in the attracted channel the limit set
     mixes zero modes and superpartner levels, so there the deviation column
-    is reported but is not expected to shrink.  ``verify=True`` recomputes
-    each energy with the independent shooting oracle and reports the
-    difference (slower: one ODE scan per radius).
+    is reported but is not expected to shrink.  ``verify=True`` asks the
+    independent shooting oracle for the first ``n_max + 1`` energies (count
+    mode: RuntimeError if it cannot find them) and reports the differences
+    (slower: one ODE scan per radius).
     """
     rows: list[LimitRow] = []
     for radius in radii:
         model = TubeModel(radius, alpha, m, sigma)
         roots = find_xi_roots(model, n_max=n_max)
-        oracle_evs: list[float] | None = None
         if verify:
             from .oracle import ShootingProblem, oracle_eigenvalues
 
             e_hi = model.energy_from_xi(-(n_max + 0.6))
-            # past the decay region of the levels, and past the shell itself
-            wall = math.sqrt(2.0 * max(e_hi, 1.0)) + 8.0
+            # past the shell; the oracle extends r_max past the levels' decay
             problem = ShootingProblem(alpha=alpha, m=m, sigma=sigma,
-                                      shell_radius=radius,
-                                      r_max=max(wall, radius + 2.0))
-            oracle_evs = oracle_eigenvalues(problem, e_min=-0.3, e_max=e_hi)
+                                      shell_radius=radius, r_max=radius + 2.0)
+            oracle_evs = oracle_eigenvalues(problem, e_max=e_hi, count=n_max + 1)
         for n in range(n_max + 1):
             if n >= len(roots):
                 rows.append(LimitRow(radius, n, None, None, None, None,
                                      note="root not found"))
                 continue
             res = roots[n]
-            o_e = o_d = None
-            note = ""
-            if verify:
-                if oracle_evs is not None and n < len(oracle_evs):
-                    o_e = oracle_evs[n]
-                    o_d = res.energy - o_e
-                else:
-                    note = "oracle root missing"
+            o_e = oracle_evs[n] if verify else None
+            o_d = res.energy - o_e if verify else None
             rows.append(LimitRow(radius, n, res.xi, res.energy,
-                                 res.xi + n, res.residual, o_e, o_d, note))
+                                 res.xi + n, res.residual, o_e, o_d))
     return rows
 
 

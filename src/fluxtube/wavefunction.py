@@ -77,9 +77,10 @@ class RadialProfile:
 
     ``values`` holds psi on ``grid`` (both 1-D, grid strictly positive and
     increasing).  ``reduced`` is the smooth factor g; ``reduced_deriv`` and
-    ``reduced_deriv2`` are dg/dz and d^2g/dz^2 where available (supercharge
-    images lose one derivative level per application; only the analytic
-    evaluations actually needed downstream are retained).
+    ``reduced_deriv2`` are dg/dz and d^2g/dz^2 where available (each
+    supercharge image drops one, so images chain at most twice).  g is a
+    polynomial in z of degree at most ``label.n + 1``: chained images
+    alternate the charges, and only ``raise_Qdag`` adds a degree.
     """
 
     label: StateLabel
@@ -274,15 +275,15 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
     return replace(prof, values=prof.analytic(profile.grid))
 
 
-def inner_product(p1: RadialProfile, p2: RadialProfile, nodes: int = 200) -> float:
+def inner_product(p1: RadialProfile, p2: RadialProfile) -> float:
     """2-D radial inner product int_0^inf psi1 psi2 2 pi r dr.
 
     Profiles in different angular or spin channels are orthogonal by the
     angular/spinor integration: that case returns exactly 0.0 without
     quadrature.  Otherwise the z = r^2 substitution reduces the integral to
-    the weight z^gamma e^-z with gamma = (e1 + e2)/2 > -1, evaluated by the
-    matching ``nodes``-point generalized Gauss–Laguerre rule (exact for
-    polynomial reduced factors up to degree 2*nodes - 1).
+    the weight z^gamma e^-z with gamma = (e1 + e2)/2 > -1, and g1 g2 has
+    degree at most n1 + n2 + 2 (see ``RadialProfile``), which the
+    (n1 + n2 + 2)-point generalized Gauss–Laguerre rule integrates exactly.
     """
     if p1.label.m != p2.label.m or p1.label.sigma != p2.label.sigma:
         return 0.0
@@ -290,7 +291,7 @@ def inner_product(p1: RadialProfile, p2: RadialProfile, nodes: int = 200) -> flo
     if gamma <= -1.0:
         raise NonNormalizableError(
             f"inner product diverges at the origin (z-weight exponent {gamma})")
-    z, w = gauss_laguerre(nodes, gamma)
+    z, w = gauss_laguerre(p1.label.n + p2.label.n + 2, gamma)
     return math.pi * float(np.dot(w, p1.reduced(z) * p2.reduced(z)))
 
 

@@ -124,6 +124,16 @@ def test_wavefunction_json_norm_metadata(capsys):
     assert len(doc["rows"]) == 40
 
 
+def test_wavefunction_json_norms_at_high_n(capsys):
+    rc, out, _ = run_cli(["wavefunction", "--alpha", "0.5", "--n", "9",
+                          "--m", "0", "--superpartner", "--format", "json"],
+                         capsys)
+    assert rc == 0
+    meta = json.loads(out)["meta"]
+    assert meta["norm_quadrature"] == pytest.approx(1.0, abs=1e-10)
+    assert meta["partner"]["norm_quadrature"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_wavefunction_zero_mode(capsys):
     rc, out, _ = run_cli(["wavefunction", "--alpha", "0.5", "--m", "0",
                           "--zero-mode", "--format", "json", "--points", "30"],
@@ -273,7 +283,7 @@ def test_rejected_arguments_are_usage_errors_with_the_library_message(argv, mess
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err
+    assert f"usage: fluxtube {argv[0]} " in err
     assert message in err
 
 

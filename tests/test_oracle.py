@@ -119,6 +119,12 @@ def test_problem_validation():
         ShootingProblem(alpha=0.5, m=0, sigma=0.5, shell_radius=-0.1)
     with pytest.raises(ValueError):
         ShootingProblem(alpha=0.5, m=0, sigma=0.5, shell_radius=15.0, r_max=12.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ShootingProblem(alpha=alpha, m=0, sigma=0.5)
+    for h in (-0.01, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step h"):
+            ShootingProblem(alpha=0.5, m=0, sigma=0.5, h=h)
     with pytest.raises(ValueError):
         oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=0.5),
                            e_min=2.0, e_max=1.0)

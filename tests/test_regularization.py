@@ -157,6 +157,24 @@ def test_xi_limit_table_with_oracle_verification():
         assert abs(row.oracle_diff) <= 1e-6
 
 
+@pytest.mark.parametrize("radius,alpha,m,sigma", [(6.0, -1.9, 2, 0.5),
+                                                  (4.5, -2.9, 3, -0.5)])
+def test_scan_reaches_the_large_shell_levels(radius, alpha, m, sigma):
+    # the third root sits near the interior level xi = alpha - 2, below -n_max - 1.7
+    roots = find_xi_roots(TubeModel(radius, alpha, m, sigma), n_max=2)
+    xis = [res.xi for res in roots]
+    assert len(xis) == 3
+    assert xis[0] > xis[1] > xis[2]
+
+
+def test_xi_limit_table_oracle_finds_every_large_shell_level():
+    rows = xi_limit_table(2, 0.5, -1.9, (6.0,), n_max=2, verify=True)
+    assert len(rows) == 3
+    for row in rows:
+        assert row.note == ""
+        assert abs(row.oracle_diff) <= 1e-6
+
+
 def test_xi_limit_table_oracle_reaches_past_a_large_shell():
     # R = 12 lies beyond the oracle's default integration end for these levels
     rows = xi_limit_table(0, 0.5, 0.5, (12.0,), n_max=0, verify=True)
