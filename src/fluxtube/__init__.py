@@ -36,7 +36,6 @@ from .regularization import (
     outside_solution,
     find_xi_roots,
     xi_limit_table,
-    u_zero_scan,
 )
 from .oracle import ShootingProblem, shoot, oracle_eigenvalues
 
@@ -64,7 +63,6 @@ __all__ = [
     "outside_solution",
     "find_xi_roots",
     "xi_limit_table",
-    "u_zero_scan",
     "ShootingProblem",
     "shoot",
     "oracle_eigenvalues",

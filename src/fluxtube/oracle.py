@@ -23,6 +23,12 @@ solution; its zeros in E are the eigenvalues.  The first 0.05 of the range
 is integrated at a 32-fold finer step because the 1/r terms are stiff near
 the origin; the state is renormalized every few hundred steps so the
 amplitudes never leave floating-point range.
+
+Levels are found by node counting, not on an energy grid: by the Sturm
+oscillation theorem the number N(E) of sign changes of psi on (0, r_max] is
+the number of zeros of D below E, and D(E) has the sign (-1)^N(E).
+Bisection on N gives each level a bracket of its own, across which brentq
+refines D (J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ _R_START = 1e-4
 _INNER_EDGE = 0.05
 _INNER_REFINE = 32
 _RENORM_EVERY = 500
+_E_TOL = 1e-12  # absolute brentq tolerance on each eigenvalue
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,16 @@ class ShootingProblem:
             raise ValueError(f"step h must be finite and positive, got {self.h!r}")
         if self.shell_radius is not None and not (0.0 < self.shell_radius < self.r_max):
             raise ValueError("shell radius must lie inside (0, r_max)")
-        if not self.r_max > _R_START:
-            raise ValueError(f"r_max must exceed the start radius {_R_START}")
+        if not (math.isfinite(self.r_max) and self.r_max > _R_START):
+            raise ValueError(f"r_max must be finite and > {_R_START}, got {self.r_max!r}")
 
 
-def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy):
-    """Integrate one region with fixed angular number; returns (psi, phi, log_scale)."""
+def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
+    """Integrate one region with fixed angular number; returns (psi, phi,
+    log_scale, nodes), adding the sign changes of psi to the node count."""
     h = (r1 - r0) / nsteps
     log_scale = 0.0
+    negative = psi < 0.0
     c0 = ma * ma
     c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
     for i in range(nsteps):
@@ -98,6 +107,9 @@ def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy):
 
         psi = psi + h / 6.0 * (phi + 2.0 * f2 + 2.0 * f3 + f4)
         phi = phi + h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if (psi < 0.0) != negative:
+            negative = not negative
+            nodes += 1
 
         if (i + 1) % _RENORM_EVERY == 0:
             s = abs(psi)
@@ -107,7 +119,7 @@ def _rk4_region(psi, phi, r0, r1, nsteps, ma, sigma, energy):
                 psi /= s
                 phi /= s
                 log_scale += math.log(s)
-    return psi, phi, log_scale
+    return psi, phi, log_scale, nodes
 
 
 def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]]:
@@ -129,8 +141,8 @@ def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]
     return out
 
 
-def shoot(problem: ShootingProblem, energy: float) -> float:
-    """Decay defect D(E); its sign changes bracket eigenvalues."""
+def shoot(problem: ShootingProblem, energy: float) -> tuple[float, int]:
+    """(D(E), N(E)): the decay defect and the node count of psi on (0, r_max]."""
     if problem.shell_radius is None:
         k = abs(problem.m + problem.alpha)
         m0 = problem.m + problem.alpha
@@ -145,56 +157,64 @@ def shoot(problem: ShootingProblem, energy: float) -> float:
     log_total = math.log(scale)
     psi /= scale
     phi /= scale
+    nodes = 0
 
     for lo, hi, refined, m_eff in _segments(problem):
         h = problem.h / _INNER_REFINE if refined else problem.h
         nsteps = max(1, int(math.ceil((hi - lo) / h - 1e-12)))
-        psi, phi, logs = _rk4_region(psi, phi, lo, hi, nsteps, m_eff,
-                                     problem.sigma, energy)
+        psi, phi, logs, nodes = _rk4_region(psi, phi, nodes, lo, hi, nsteps, m_eff,
+                                            problem.sigma, energy)
         log_total += logs
         if problem.shell_radius is not None and abs(hi - problem.shell_radius) < 1e-15:
             phi += (2.0 * problem.sigma * problem.alpha / problem.shell_radius) * psi
 
     if psi == 0.0:
-        return 0.0
+        return 0.0, nodes
     ex = log_total + 0.25 * problem.r_max ** 2 + math.log(abs(psi))
-    return math.copysign(math.exp(min(ex, 600.0)), psi)
+    return math.copysign(math.exp(min(ex, 600.0)), psi), nodes
 
 
 def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
-                       e_max: float = 6.0, step: float = 0.05,
-                       xtol: float = 1e-10, count: int | None = None) -> list[float]:
-    """Eigenvalues in (e_min, e_max): scan D(E) on a grid, refine by brentq.
+                       e_max: float = 6.0, count: int | None = None) -> list[float]:
+    """Eigenvalues in (e_min, e_max), isolated by node count and refined by brentq.
 
-    With ``count`` set, the scan window (and the integration range, which must
-    reach past the classical turning point) grows until that many roots are
-    found; only the first ``count`` are returned.
+    Bisection on N(E) splits the window until each bracket holds one level,
+    where brentq refines D(E) to ``_E_TOL``; no energy is shot twice on one
+    integration range.  With ``count`` set, the window (and the integration
+    range, which must reach past the classical turning point) grows until it
+    holds ``count`` levels, at most seven times, and the first ``count``
+    levels are returned.
     """
     if e_max <= e_min:
         raise ValueError("need e_max > e_min")
-    for _attempt in range(8):
+    shots = {}
+
+    def shot(e: float) -> tuple[float, int]:
+        if (prb, e) not in shots:
+            shots[prb, e] = shoot(prb, e)
+        return shots[prb, e]
+
+    for _widening in range(8):
         wall = math.sqrt(2.0 * max(e_max, 1.0)) + 8.0
         prb = replace(problem, r_max=wall) if problem.r_max < wall else problem
-        n = int(math.ceil((e_max - e_min) / step)) + 1
-        roots: list[float] = []
-        e_prev = e_min
-        d_prev = shoot(prb, e_prev)
-        for i in range(1, n):
-            e_cur = min(e_min + i * step, e_max)
-            d_cur = shoot(prb, e_cur)
-            if d_prev == 0.0:
-                roots.append(e_prev)
-            elif d_cur != 0.0 and (d_prev < 0.0) != (d_cur < 0.0):
-                roots.append(brentq(lambda e: shoot(prb, e), e_prev, e_cur, xtol=xtol))
-            e_prev, d_prev = e_cur, d_cur
-            if count is not None and len(roots) >= count:
-                return roots[:count]
-            if e_cur >= e_max:
-                break
-        if count is None:
-            return roots
+        n_lo, n_hi = shot(e_min)[1], shot(e_max)[1]
+        if count is None or n_hi - n_lo >= count:
+            break
         e_max += max(2.0, e_max - e_min)
-    raise RuntimeError(
-        f"found only {len(roots)} of {count} eigenvalues scanning up to "
-        f"E = {e_max:g} (alpha={problem.alpha:g}, m={problem.m}, "
-        f"sigma={problem.sigma:+g})")
+    else:
+        raise RuntimeError(f"found only {n_hi - n_lo} of {count} eigenvalues in seven "
+                           f"widenings of the window for {problem!r}")
+    n_top = n_hi if count is None else n_lo + count
+
+    def isolate(a: float, b: float) -> list[tuple[float, float]]:
+        """Brackets of one level each in (a, b], up to level index n_top."""
+        n_a, n_b = shot(a)[1], shot(b)[1]
+        if n_a >= n_top or n_b == n_a:
+            return []
+        if n_b - n_a == 1:
+            return [(a, b)]
+        c = 0.5 * (a + b)  # a bracket round-off cannot split ends in RecursionError
+        return isolate(a, c) + isolate(c, b)
+
+    brackets = isolate(e_min, e_max)
+    return [brentq(lambda e: shot(e)[0], a, b, xtol=_E_TOL) for a, b in brackets]

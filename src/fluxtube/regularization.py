@@ -46,7 +46,6 @@ __all__ = [
     "matching_wronskian",
     "find_xi_roots",
     "xi_limit_table",
-    "u_zero_scan",
 ]
 
 # Root scan in xi: step between cross-form samples, and brentq tolerance.
@@ -137,6 +136,12 @@ class MatchResult:
     residual: float  # |W| / sum |term|; O(1) at large-shell roots: no pass/fail flag
 
 
+def _xi_floor(model: TubeModel, n_max: int) -> float:
+    """1.7 below the n_max-th level of both limits, xi = -n and xi_inf - n."""
+    xi_inf = 0.5 * (abs(model.m + model.alpha) - abs(model.m) + model.alpha)
+    return min(0.0, xi_inf) - n_max - 1.7
+
+
 def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     """The matching roots xi_0 > xi_1 > ... > xi_{n_max}, scanning downward.
 
@@ -154,8 +159,7 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n_roots = n_max + 1
-    xi_inf = 0.5 * (abs(model.m + model.alpha) - abs(model.m) + model.alpha)
-    xi_floor = min(0.0, xi_inf) - n_max - 1.7
+    xi_floor = _xi_floor(model, n_max)
 
     def w_of_xi(xi: float) -> float:
         return matching_wronskian(model, model.energy_from_xi(xi))[0]
@@ -209,8 +213,8 @@ def xi_limit_table(m: int, sigma: float, alpha: float, radii, n_max: int = 2, *,
     mixes zero modes and superpartner levels, so there the deviation column
     is reported but is not expected to shrink.  ``verify=True`` asks the
     independent shooting oracle for the first ``n_max + 1`` energies (count
-    mode: RuntimeError if it cannot find them) and reports the differences
-    (slower: one ODE scan per radius).
+    mode, from a window up to the energy of ``find_xi_roots``' floor) and
+    reports the differences (slower: one oracle search per radius).
     """
     rows: list[LimitRow] = []
     for radius in radii:
@@ -219,7 +223,7 @@ def xi_limit_table(m: int, sigma: float, alpha: float, radii, n_max: int = 2, *,
         if verify:
             from .oracle import ShootingProblem, oracle_eigenvalues
 
-            e_hi = model.energy_from_xi(-(n_max + 0.6))
+            e_hi = model.energy_from_xi(_xi_floor(model, n_max))
             # past the shell; the oracle extends r_max past the levels' decay
             problem = ShootingProblem(alpha=alpha, m=m, sigma=sigma,
                                       shell_radius=radius, r_max=radius + 2.0)
@@ -235,27 +239,3 @@ def xi_limit_table(m: int, sigma: float, alpha: float, radii, n_max: int = 2, *,
             rows.append(LimitRow(radius, n, res.xi, res.energy,
                                  res.xi + n, res.residual, o_e, o_d))
     return rows
-
-
-def u_zero_scan(b: float, z: float, a_range: tuple[float, float] = (-5.5, 0.5),
-                steps: int = 600) -> list[tuple[float, float]]:
-    """Sign-change intervals of a -> U(a, b, z) on a_range (one per zero).
-
-    For small z the zeros sit near the nonpositive integers (where
-    1/Gamma(a) kills the z^{1-b} singular part), which is the structural
-    reason the shell roots migrate to xi = -n.  Returns the bracketing
-    (a_lo, a_hi) grid intervals; empty if the function keeps one sign.
-    """
-    a_lo, a_hi = a_range
-    if not (a_lo < a_hi) or steps < 2:
-        raise ValueError("need a_lo < a_hi and steps >= 2")
-    grid = [a_lo + (a_hi - a_lo) * i / steps for i in range(steps + 1)]
-    f = lambda a: kummer_u(a, b, z)
-    intervals: list[tuple[float, float]] = []
-    f_prev = f(grid[0])
-    for a_prev, a_cur in zip(grid[:-1], grid[1:]):
-        f_cur = f(a_cur)
-        if f_prev == 0.0 or (f_cur != 0.0 and (f_prev < 0.0) != (f_cur < 0.0)):
-            intervals.append((a_prev, a_cur))
-        f_prev = f_cur
-    return intervals

@@ -11,7 +11,7 @@ import pathlib
 
 import fluxtube
 
-SETTABLE_VALUES_BUDGET = 28
+SETTABLE_VALUES_BUDGET = 24
 
 
 def _settable_values(tree: ast.Module) -> int:

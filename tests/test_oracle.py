@@ -83,8 +83,7 @@ def test_eigenvalue_convergence_is_fourth_order():
     errs = []
     for k in range(3):
         prob = replace(base, h=base.h * 0.5 ** k)
-        ev = oracle_eigenvalues(prob, e_min=0.7, e_max=1.3, step=0.1,
-                                xtol=1e-14)[0]
+        ev = oracle_eigenvalues(prob, e_min=0.7, e_max=1.3)[0]
         errs.append(abs(ev - 1.0))
     assert errs[0] > errs[1] > errs[2] > 0.0
     for coarse, fine in zip(errs, errs[1:]):
@@ -99,17 +98,45 @@ def test_count_mode_returns_exactly_count():
         assert ev == pytest.approx(n + 0.5, abs=1e-6)
 
 
-def test_count_mode_extends_past_initial_window():
+def test_count_mode_extends_past_initial_window(monkeypatch):
     # only one level below 1.5; the window must grow to find three
+    calls = []
+    real_shoot = fluxtube.oracle.shoot
+
+    def counting_shoot(problem, energy):
+        calls.append(energy)
+        return real_shoot(problem, energy)
+
+    monkeypatch.setattr(fluxtube.oracle, "shoot", counting_shoot)
     evs = oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=0.5),
                              e_max=1.5, count=3)
     assert [round(e) for e in evs] == [1, 2, 3]
+    # widening shoots only the new window end, never an energy already shot
+    assert len(calls) <= 60
+    assert len(set(calls)) == len(calls)
+
+
+def test_count_mode_fails_loudly_when_levels_stay_out_of_reach():
+    # h = 2 is too coarse for RK4 to follow the oscillations: N(E) stays below 3
+    prob = ShootingProblem(alpha=0.0, m=0, sigma=0.5, h=2.0)
+    with pytest.raises(RuntimeError, match="found only 0 of 3 eigenvalues"):
+        oracle_eigenvalues(prob, count=3)
 
 
 def test_defect_changes_sign_across_an_eigenvalue():
     prob = ShootingProblem(alpha=0.0, m=0, sigma=0.5)
-    assert shoot(prob, 0.9) * shoot(prob, 1.1) < 0.0
-    assert shoot(prob, 1.1) * shoot(prob, 1.4) > 0.0
+    d_09, d_11, d_14 = (shoot(prob, e)[0] for e in (0.9, 1.1, 1.4))
+    assert d_09 * d_11 < 0.0
+    assert d_11 * d_14 > 0.0
+
+
+@pytest.mark.parametrize("alpha, m, energies", [
+    (0.0, 0, (0.5, 1.5, 2.5, 3.5)),   # Landau tower E = n + 1
+    (0.5, 1, (2.0, 3.0, 4.0)),        # point-flux tower E = n + 2.5
+])
+def test_node_count_is_the_number_of_levels_below(alpha, m, energies):
+    prob = ShootingProblem(alpha=alpha, m=m, sigma=0.5)
+    assert [shoot(prob, e)[1] for e in energies] == list(range(len(energies)))
 
 
 def test_problem_validation():
@@ -125,6 +152,9 @@ def test_problem_validation():
     for h in (-0.01, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step h"):
             ShootingProblem(alpha=0.5, m=0, sigma=0.5, h=h)
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            ShootingProblem(alpha=0.5, m=0, sigma=0.5, r_max=r_max)
     with pytest.raises(ValueError):
         oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=0.5),
                            e_min=2.0, e_max=1.0)

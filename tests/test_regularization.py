@@ -16,7 +16,6 @@ from fluxtube import (
     find_xi_roots,
     inside_solution,
     outside_solution,
-    u_zero_scan,
     xi_limit_table,
 )
 from fluxtube.regularization import matching_wronskian
@@ -200,39 +199,3 @@ def test_xi_energy_round_trip():
     assert model.xi_offset == pytest.approx(0.5 * (abs(ma) + ma + 1.0 - 1.0))
     for e in (0.0, 0.9, 3.3):
         assert model.energy_from_xi(model.xi_from_energy(e)) == pytest.approx(e, abs=1e-15)
-
-
-# --- the structural reason for the xi -> -n migration -------------------------
-
-def test_u_zero_scan_small_z_zeros_near_nonpositive_integers():
-    coarse = u_zero_scan(1.5, 0.01)
-    tight = u_zero_scan(1.5, 1e-4)
-    assert len(coarse) == len(tight) == 6
-    # intervals come out in scan order, most negative first
-    for i, (lo, hi) in enumerate(coarse):
-        assert abs(0.5 * (lo + hi) + (5 - i)) < 0.25
-    for i, (lo, hi) in enumerate(tight):
-        assert abs(0.5 * (lo + hi) + (5 - i)) < 0.05
-    # the zeros collapse onto the integer lattice as z -> 0
-    for (cl, ch), (tl, th), k in zip(coarse, tight, range(5, -1, -1)):
-        assert abs(0.5 * (tl + th) + k) < abs(0.5 * (cl + ch) + k)
-
-
-def test_u_zero_scan_stable_under_grid_refinement():
-    coarse = u_zero_scan(1.5, 100.0, steps=600)
-    dense = u_zero_scan(1.5, 100.0, steps=2400)
-    assert len(coarse) == len(dense)
-    # each dense interval must lie inside the matching coarse one
-    for (cl, ch), (dl, dh) in zip(coarse, dense):
-        assert cl - 1e-12 <= dl and dh <= ch + 1e-12
-
-
-def test_u_zero_scan_positive_window_has_no_zeros():
-    assert u_zero_scan(1.5, 0.01, a_range=(0.05, 0.45), steps=200) == []
-
-
-def test_u_zero_scan_validation():
-    with pytest.raises(ValueError):
-        u_zero_scan(1.5, 0.01, a_range=(0.5, -5.5))
-    with pytest.raises(ValueError):
-        u_zero_scan(1.5, 0.01, steps=1)
