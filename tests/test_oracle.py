@@ -123,6 +123,14 @@ def test_count_mode_fails_loudly_when_levels_stay_out_of_reach():
         oracle_eigenvalues(prob, count=3)
 
 
+def test_coarse_step_fails_loudly_instead_of_returning_wrong_levels():
+    # at h = 1 N(E) is not monotone: brentq's bracket (-0.3, 100.5) holds
+    # N = 0 and 1 at its ends but N = 2 at E = 12.3
+    prob = ShootingProblem(alpha=0.0, m=0, sigma=0.5, h=1.0)
+    with pytest.raises(RuntimeError, match=r"node count 2 at E = 12\.3 .* h = 1\.0 "):
+        oracle_eigenvalues(prob, count=3)
+
+
 def test_defect_changes_sign_across_an_eigenvalue():
     prob = ShootingProblem(alpha=0.0, m=0, sigma=0.5)
     d_09, d_11, d_14 = (shoot(prob, e)[0] for e in (0.9, 1.1, 1.4))
@@ -137,6 +145,68 @@ def test_defect_changes_sign_across_an_eigenvalue():
 def test_node_count_is_the_number_of_levels_below(alpha, m, energies):
     prob = ShootingProblem(alpha=alpha, m=m, sigma=0.5)
     assert [shoot(prob, e)[1] for e in energies] == list(range(len(energies)))
+
+
+def _scalar_rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
+    """Reference: the classical RK4 loop, one step at a time in floats,
+    renormalized every 500 steps."""
+    h = (r1 - r0) / nsteps
+    log_scale = 0.0
+    negative = psi < 0.0
+    c0 = ma * ma
+    c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
+    for i in range(nsteps):
+        r = r0 + i * h
+        rh = r + 0.5 * h
+        rf = r + h
+
+        q1 = -phi / r + (c0 / (r * r) + r * r + c1) * psi
+        p2 = psi + 0.5 * h * phi
+        f2 = phi + 0.5 * h * q1
+        q2 = -f2 / rh + (c0 / (rh * rh) + rh * rh + c1) * p2
+        p3 = psi + 0.5 * h * f2
+        f3 = phi + 0.5 * h * q2
+        q3 = -f3 / rh + (c0 / (rh * rh) + rh * rh + c1) * p3
+        p4 = psi + h * f3
+        f4 = phi + h * q3
+        q4 = -f4 / rf + (c0 / (rf * rf) + rf * rf + c1) * p4
+
+        psi = psi + h / 6.0 * (phi + 2.0 * f2 + 2.0 * f3 + f4)
+        phi = phi + h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if (psi < 0.0) != negative:
+            negative = not negative
+            nodes += 1
+
+        if (i + 1) % 500 == 0:
+            s = max(abs(psi), abs(phi))
+            if s > 0.0:
+                psi /= s
+                phi /= s
+                log_scale += math.log(s)
+    return psi, phi, log_scale, nodes
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(alpha=0.5, m=1, sigma=0.5),                          # point flux
+    dict(alpha=0.5, m=0, sigma=-0.5, shell_radius=0.1),       # small shell
+    dict(alpha=0.7, m=0, sigma=0.5, shell_radius=2.5),
+    dict(alpha=0.3, m=3, sigma=-0.5),
+    dict(alpha=0.0, m=0, sigma=0.5, r_max=16.0),
+    # regions of 160, 1 and 1194 steps: none a whole number of blocks
+    dict(alpha=-0.5, m=-1, sigma=0.5, shell_radius=0.06, h=0.01),
+])
+def test_shoot_matches_the_scalar_rk4_loop(kwargs, monkeypatch):
+    prob = ShootingProblem(**kwargs)
+    levels = oracle_eigenvalues(prob, e_min=-0.3, e_max=5.0)
+    energies = [e for e in (-0.2, 0.3, 0.8, 1.45, 2.05, 2.75, 3.6, 4.2, 4.9)
+                if all(abs(e - lev) >= 0.1 for lev in levels)]
+    assert len(energies) >= 5
+    fast = [shoot(prob, e) for e in energies]
+    monkeypatch.setattr(fluxtube.oracle, "_rk4_region", _scalar_rk4_region)
+    for (d, n), e in zip(fast, energies):
+        d_ref, n_ref = shoot(prob, e)
+        assert n == n_ref, e
+        assert d == pytest.approx(d_ref, rel=1e-10), e
 
 
 def test_problem_validation():
@@ -164,7 +234,7 @@ def test_oracle_module_is_independent():
     """The oracle must not import the special-function or matching machinery
     it is used to cross-check (dual-route checks would otherwise collapse)."""
     src = pathlib.Path(fluxtube.oracle.__file__).read_text()
-    allowed = {"__future__", "math", "dataclasses", "scipy.optimize"}
+    allowed = {"__future__", "math", "dataclasses", "numpy", "scipy.optimize"}
     for node in ast.walk(ast.parse(src)):
         if isinstance(node, ast.Import):
             for alias in node.names:
