@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+
+from fluxtube._brent import brentq
 
 __all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues"]
 
@@ -82,6 +83,8 @@ class ShootingProblem:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if self.m != int(self.m):
+            raise ValueError(f"orbital number m must be an integer, got {self.m!r}")
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")
         if not (math.isfinite(self.h) and self.h > 0.0):
@@ -238,8 +241,12 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
     the range of the counts at its ends raises RuntimeError: the step h is
     then too coarse for the levels to be trusted.
     """
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"energy window must be finite, got ({e_min!r}, {e_max!r})")
     if e_max <= e_min:
         raise ValueError("need e_max > e_min")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     shots = {}
 
     def shot(e: float) -> tuple[float, int]:
@@ -283,4 +290,4 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
         return isolate(a, c) + isolate(c, b)
 
     brackets = isolate(e_min, e_max)
-    return [brentq(lambda e: inside(e, a, b)[0], a, b, xtol=_E_TOL) for a, b in brackets]
+    return [brentq(lambda e: inside(e, a, b)[0], a, b, xtol=_E_TOL)[0] for a, b in brackets]

@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from ._brent import brentq
 from .specfun import kummer_m, kummer_u
 
 __all__ = [
@@ -65,6 +64,8 @@ class TubeModel:
     def __post_init__(self):
         if self.radius <= 0.0:
             raise ValueError(f"shell radius must be positive, got {self.radius}")
+        if self.m != int(self.m):
+            raise ValueError(f"orbital number m must be an integer, got {self.m!r}")
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")
 
@@ -175,9 +176,7 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
             if w_prev == 0.0:
                 root, iters = xi_prev, 0
             else:
-                root, info = brentq(w_of_xi, xi_cur, xi_prev, xtol=_XI_TOL,
-                                    full_output=True)
-                iters = info.iterations
+                root, iters = brentq(w_of_xi, xi_cur, xi_prev, xtol=_XI_TOL)
             energy = model.energy_from_xi(root)
             w, scale = matching_wronskian(model, energy)
             residual = abs(w) / scale if scale > 0.0 else abs(w)

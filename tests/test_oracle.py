@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+import fluxtube._brent
 import fluxtube.oracle
 from fluxtube import ShootingProblem, energy_regular, oracle_eigenvalues, shoot
 
@@ -225,20 +226,34 @@ def test_problem_validation():
     for r_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r_max must be finite"):
             ShootingProblem(alpha=0.5, m=0, sigma=0.5, r_max=r_max)
+    with pytest.raises(ValueError, match="orbital number m must be an integer"):
+        ShootingProblem(alpha=0.0, m=0.5, sigma=0.5)
+    landau = ShootingProblem(alpha=0.0, m=0, sigma=0.5)
     with pytest.raises(ValueError):
-        oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=0.5),
-                           e_min=2.0, e_max=1.0)
+        oracle_eigenvalues(landau, e_min=2.0, e_max=1.0)
+    for window in ((-0.3, math.nan), (math.nan, 6.0), (-0.3, math.inf), (-math.inf, 6.0)):
+        with pytest.raises(ValueError, match="energy window must be finite"):
+            oracle_eigenvalues(landau, *window)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            oracle_eigenvalues(landau, count=count)
+
+
+def _imported_modules(module) -> set[str]:
+    """The modules a source file imports; relative ones keep their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
 
 
 def test_oracle_module_is_independent():
     """The oracle must not import the special-function or matching machinery
     it is used to cross-check (dual-route checks would otherwise collapse)."""
-    src = pathlib.Path(fluxtube.oracle.__file__).read_text()
-    allowed = {"__future__", "math", "dataclasses", "numpy", "scipy.optimize"}
-    for node in ast.walk(ast.parse(src)):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                assert alias.name in allowed, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import found in oracle module"
-            assert node.module in allowed, node.module
+    allowed = {"__future__", "math", "dataclasses", "numpy", "fluxtube._brent"}
+    assert _imported_modules(fluxtube.oracle) <= allowed
+    # the shared root finder is stdlib only, so the oracle's imports stop at numpy
+    assert _imported_modules(fluxtube._brent) == {"__future__", "math"}

@@ -189,6 +189,8 @@ def test_tube_model_validation():
         TubeModel(-0.1, 0.5, 0, 0.5)
     with pytest.raises(ValueError):
         TubeModel(0.2, 0.5, 0, 0.3)
+    with pytest.raises(ValueError, match="orbital number m must be an integer"):
+        TubeModel(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         find_xi_roots(TubeModel(0.2, 0.5, 0, 0.5), n_max=-1)
 

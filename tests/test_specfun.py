@@ -232,15 +232,22 @@ def test_non_finite_laplace_integral_is_a_convergence_error():
             kummer_u(a, 800.0, 20.0)
 
 
-def test_import_leaves_scipy_integrate_out():
-    # kummer_u's Laplace route runs on gauss_laguerre, not scipy.integrate.quad
-    code = "import sys, fluxtube; print('scipy.integrate' in sys.modules)"
+def test_cli_runs_leave_scipy_out():
+    # numpy is the only runtime dependency, also on the lazily imported oracle path
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from fluxtube import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['regularize', '--alpha', '0.5', '--m', '0', '--R', '0.3',",
+        "                       '--nmax', '1', '--verify']), cli.main(['verify'])]",
+        "print(codes, sorted(name for name in sys.modules if name.startswith('scipy')))",
+    ])
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[0, 0] []"
 
 
 def test_digamma_recurrence():
