@@ -207,7 +207,7 @@ def _cmd_wavefunction(args) -> int:
             raise ValueError("--zero-mode does not take --n (zero modes have n = 0)")
         prof = psi_zero_mode(args.m, args.alpha, r_max=args.rmax,
                              npoints=args.points)
-        if args.sigma is not None and _SIGMA[args.sigma] != -0.5:
+        if args.sigma is not None and _SIGMA[args.sigma] != prof.label.sigma:
             raise ValueError("zero modes carry sigma = -1/2")
     else:
         if args.n is None:

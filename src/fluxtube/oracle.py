@@ -83,7 +83,7 @@ class ShootingProblem:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if self.m != int(self.m):
+        if not float(self.m).is_integer():
             raise ValueError(f"orbital number m must be an integer, got {self.m!r}")
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")

@@ -62,9 +62,11 @@ class TubeModel:
     sigma: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"shell radius must be positive, got {self.radius}")
-        if self.m != int(self.m):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"shell radius must be finite and positive, got {self.radius!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if not float(self.m).is_integer():
             raise ValueError(f"orbital number m must be an integer, got {self.m!r}")
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +0.5 or -0.5, got {self.sigma!r}")

@@ -321,8 +321,10 @@ def kummer_u(a: float, b: float, z: float) -> float:
     on the small-z branch (z <= 8).  (1) a > 1.5 with z > 1.5: up to 4.0e-3
     at (a, b, z) = (6.7, 1.25, 7.9), though not everywhere, (3.0, 2.5, 5.0)
     gives 1.8e-10.  (2) b within 1e-3 of an integer but outside the snap:
-    up to 1e-2 at (1.35, 1 + 1.6e-8, 7.8), and 3e-6 for a <= 0.  Shell
-    eigenvalues avoid gap (1): their roots sit at a <= 0.
+    the connection formula cancels, and the result can be pure noise,
+    e.g. -1.07e-4 at (4.513, 1 + 4.66e-7, 7.593) where U = 1.79e-5
+    (1.2e-2 relative at (1.35, 1 + 1.6e-8, 7.8), 3e-6 for a <= 0).
+    Shell eigenvalues avoid gap (1): their roots sit at a <= 0.
 
     Raises
     ------
@@ -370,7 +372,7 @@ def laguerre(n: int, a: float, z):
     -------
     float or ndarray matching the shape of ``z``.
     """
-    if n < 0 or n != int(n):
+    if not (float(n).is_integer() and n >= 0):
         raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
     n = int(n)
     zs = np.asarray(z, dtype=float)
@@ -385,7 +387,7 @@ def laguerre(n: int, a: float, z):
 
 def laguerre_deriv(n: int, a: float, z):
     """d/dz L_n^{(a)}(z) = -L_{n-1}^{(a+1)}(z); identically 0 for n = 0."""
-    if n < 0 or n != int(n):
+    if not (float(n).is_integer() and n >= 0):
         raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
     if int(n) == 0:
         zs = np.asarray(z, dtype=float)

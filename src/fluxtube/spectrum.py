@@ -20,8 +20,10 @@ which reproduces the ordinary Landau levels with their degeneracies.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "FluxConfig",
@@ -43,9 +45,19 @@ _E_CHARGE = 1.602176634e-19  # C
 _M_ELECTRON = 9.1093837015e-31  # kg
 
 
+class NonNormalizableError(ValueError):
+    """The requested state is not square integrable."""
+
+
 @dataclass(frozen=True)
 class FluxConfig:
-    """Problem configuration: tube flux ``alpha`` in units of the flux quantum."""
+    """Problem configuration: tube flux ``alpha`` in units of the flux quantum.
+
+    It is the one place that decides which states exist and what they are:
+    ``regular``, ``zero_mode`` and ``superpartner`` return one state of each
+    family with its label, energy, xi and normalization constant, and
+    ``enumerate_states`` and the wavefunction builders use them.
+    """
 
     alpha: float
 
@@ -63,10 +75,73 @@ class FluxConfig:
         """Spin component that sees the attractive contact term (2*sigma*alpha < 0)."""
         return -self.regular_sigma
 
+    def regular(self, n: int, m: int) -> EigenState:
+        """The regular-at-origin state (n, m), spin ``regular_sigma``.
+
+        For alpha < 0 its E = 0 members (n = 0, m + alpha <= 0) are the
+        zero modes, and this returns ``zero_mode(m)``.
+        """
+        label = StateLabel(n, m, self.regular_sigma)
+        e = self._tower_energy(label.n, label.m)
+        if e == 0:
+            return self.zero_mode(label.m)
+        am = abs(label.m + self.alpha)
+        log_norm = 0.5 * (math.lgamma(label.n + 1.0) - math.lgamma(am + label.n + 1.0))
+        return EigenState(label, float(e), float(-label.n),
+                          math.exp(log_norm) / math.sqrt(math.pi))
+
+    def zero_mode(self, m: int) -> EigenState:
+        """The E = 0 state of orbital m, spin down, psi ~ r^{-(m+alpha)}.
+
+        It exists while square integrable, m + alpha < 1 (NonNormalizableError
+        otherwise), and for alpha < 0, where spin down is the regular
+        component, while m + alpha <= 0 (ValueError otherwise).
+        """
+        label = StateLabel(0, m, -0.5, "zero_mode")
+        ma = label.m + self.alpha
+        if ma >= 1.0:
+            raise NonNormalizableError(
+                f"zero mode needs m + alpha < 1 for square integrability, got {ma}")
+        if self.alpha < 0 and ma > 0:
+            raise ValueError(
+                "for alpha < 0 the spin-down component is regular at the origin; "
+                f"no zero mode exists at m + alpha = {ma} > 0")
+        xi = max(label.m + self._alpha_f, 0)
+        return EigenState(label, 0.0, float(xi),
+                          1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - ma))))
+
+    def superpartner(self, n: int, m: int) -> EigenState:
+        """The spin-flipped partner (n, m) of the regular state one orbital step away.
+
+        It has that source's energy E and the constant E^{-1/2}; a source at
+        E = 0 is annihilated and has no partner (ValueError).
+        """
+        label = StateLabel(n, m, self.attracted_sigma, "superpartner")
+        e = self._tower_energy(label.n, self._source_m(label.m))
+        if e == 0:
+            raise ValueError(f"the source of {label} has E = 0 and no partner")
+        # xi = (|m+alpha| + m + alpha + 1 + 2 sigma)/2 - E = max(m + alpha, 0) + sigma + 1/2 - E
+        xi = max(label.m + self._alpha_f, 0) + round(label.sigma + 0.5) - e
+        energy = float(e)
+        return EigenState(label, energy, float(xi), 1.0 / math.sqrt(energy))
+
+    @cached_property
+    def _alpha_f(self) -> Fraction:
+        """alpha as an exact rational, converted once per configuration."""
+        return Fraction(self.alpha)
+
+    def _source_m(self, m: int) -> int:
+        """Orbital number of the regular state whose partner sits at m."""
+        return m - 1 if self.alpha >= 0 else m + 1
+
+    def _tower_energy(self, n: int, m: int) -> Fraction:
+        """Exact energy of the regular state (n, m): n + max(m + alpha, 0), +1 if alpha >= 0."""
+        return (n + 1 if self.alpha >= 0 else n) + max(m + self._alpha_f, 0)
+
 
 @dataclass(frozen=True)
 class StateLabel:
-    """Quantum numbers (n, m, sigma) plus the construction tag of a state."""
+    """Quantum numbers (n, m, sigma) plus the construction tag of a state; n, m stored as ints."""
 
     n: int
     m: int
@@ -74,10 +149,13 @@ class StateLabel:
     tag: str = "regular"
 
     def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
+        if not (float(self.n).is_integer() and self.n >= 0):
             raise ValueError(f"radial number n must be a nonnegative integer, got {self.n!r}")
-        if self.m != int(self.m):
+        if not float(self.m).is_integer():
             raise ValueError(f"orbital number m must be an integer, got {self.m!r}")
+        # exact energies need int arithmetic, also when a caller passes 2.0
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
         if self.sigma not in (0.5, -0.5):
             raise ValueError(f"sigma must be +-0.5, got {self.sigma!r}")
         if self.tag not in _TAGS:
@@ -95,7 +173,9 @@ class EigenState:
     closed radial form:  sqrt(n! / (pi Gamma(|m+alpha| + n + 1))) for regular
     states, 1/sqrt(pi Gamma(1 - m - alpha)) for zero modes, and E^{-1/2} —
     the factor applied to the supercharge image of the normalized source —
-    for superpartners.
+    for superpartners.  Each state has exactly one such constant: the
+    ``FluxConfig`` methods that build states choose it, and the radial
+    profiles of ``fluxtube.wavefunction`` are scaled by this same float.
     """
 
     label: StateLabel
@@ -133,33 +213,10 @@ class VacancyComparison:
     pairing_notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _energy_fraction(n: int, m: int, alpha_f: Fraction) -> Fraction:
-    """Exact rational energy of the regular branch (alpha >= 0 uses the +1 offset)."""
-    shift = abs(m + alpha_f) + (m + alpha_f)
-    base = Fraction(n) + shift / 2
-    return base + 1 if alpha_f >= 0 else base
-
-
 def energy_regular(n: int, m: int, alpha: float) -> float:
-    """Energy of the regular-at-origin state (n, m) for tube flux alpha.
-
-    The regular branch carries sigma = +1/2 for alpha >= 0 and sigma = -1/2
-    for alpha < 0 (the component repelled by the contact term).  Exact
-    rational arithmetic internally, so degeneracies are exact.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return float(_energy_fraction(int(n), int(m), Fraction(alpha)))
-
-
-def _norm_regular(n: int, am: float) -> float:
-    """sqrt(n! / (pi Gamma(am + n + 1))) with am = |m + alpha|."""
-    return math.exp(0.5 * (math.lgamma(n + 1.0) - math.lgamma(am + n + 1.0))) / math.sqrt(math.pi)
-
-
-def _norm_zero_mode(ma: float) -> float:
-    """1/sqrt(pi Gamma(1 - ma)) with ma = m + alpha < 1."""
-    return 1.0 / math.sqrt(math.pi * math.exp(math.lgamma(1.0 - ma)))
+    """Energy of ``FluxConfig(alpha).regular(n, m)``, exact before rounding,
+    so degeneracies are exact."""
+    return FluxConfig(alpha).regular(n, m).energy
 
 
 def enumerate_states(cfg: FluxConfig, e_max: float,
@@ -172,56 +229,33 @@ def enumerate_states(cfg: FluxConfig, e_max: float,
     sigma desc) using exact rational energies, so the order is deterministic
     even across exact degeneracies.
     """
+    if not math.isfinite(e_max):
+        raise ValueError(f"e_max must be finite, got {e_max!r}")
     if m_max < m_min:
         raise ValueError(f"empty m window: [{m_min}, {m_max}]")
-    alpha = cfg.alpha
-    alpha_f = Fraction(alpha)
     e_max_f = Fraction(e_max)
-    sigma_reg = cfg.regular_sigma
-    out: list[tuple[Fraction, int, float, EigenState]] = []
-
-    def push(state: EigenState, e_frac: Fraction) -> None:
-        out.append((e_frac, state.label.m, -state.label.sigma, state))
-
+    rows: list[tuple[Fraction, EigenState]] = []
     for m in range(m_min, m_max + 1):
-        am = abs(m + alpha)
-
-        # regular branch (for alpha < 0 its n=0, m+alpha<=0 members sit at E=0:
-        # those are the zero modes and get the explicit tag)
+        # regular branch (for alpha < 0 its E = 0 members are the zero modes)
         n = 0
-        while True:
-            e_frac = _energy_fraction(n, m, alpha_f)
-            if e_frac > e_max_f:
-                break
-            tag = "zero_mode" if e_frac == 0 else "regular"
-            xi = float(-n)
-            norm = _norm_zero_mode(m + alpha) if tag == "zero_mode" else _norm_regular(n, am)
-            push(EigenState(StateLabel(n, m, sigma_reg, tag), float(e_frac), xi, norm), e_frac)
+        while (e := cfg._tower_energy(n, m)) <= e_max_f:
+            rows.append((e, cfg.regular(n, m)))
             n += 1
 
         # superpartner branch: spin flipped, source one orbital step away
-        m_src = m - 1 if alpha >= 0 else m + 1
         n = 0
-        while True:
-            e_frac = _energy_fraction(n, m_src, alpha_f)
-            if e_frac > e_max_f:
-                break
-            if e_frac > 0:  # zero-energy sources are annihilated, no partner
-                e = float(e_frac)
-                xi_f = (abs(m + alpha_f) + m + alpha_f + 1 + 2 * Fraction(-sigma_reg)) / 2 - e_frac
-                state = EigenState(StateLabel(n, m, -sigma_reg, "superpartner"),
-                                   e, float(xi_f), 1.0 / math.sqrt(e))
-                push(state, e_frac)
+        while (e := cfg._tower_energy(n, cfg._source_m(m))) <= e_max_f:
+            if e > 0:  # zero-energy sources are annihilated, no partner
+                rows.append((e, cfg.superpartner(n, m)))
             n += 1
 
-        # zero modes for alpha >= 0 (sigma = -1/2, square integrable iff m+alpha < 1)
-        if alpha >= 0 and m + alpha < 1.0 and 0 <= e_max_f:
-            xi_f = (abs(m + alpha_f) + m + alpha_f) / 2
-            push(EigenState(StateLabel(0, m, -0.5, "zero_mode"), 0.0, float(xi_f),
-                            _norm_zero_mode(m + alpha)), Fraction(0))
+        # zero modes of the attracted spin (alpha >= 0), where normalizable
+        if cfg.alpha >= 0 and e_max_f >= 0:
+            with suppress(NonNormalizableError):
+                rows.append((0, cfg.zero_mode(m)))
 
-    out.sort(key=lambda row: row[:3])
-    return [row[3] for row in out]
+    rows.sort(key=lambda row: (row[0], row[1].label.m, -row[1].label.sigma))
+    return [state for _, state in rows]
 
 
 def vacancy_line_compare(alpha: float, e_max: float,
@@ -237,7 +271,7 @@ def vacancy_line_compare(alpha: float, e_max: float,
     ``alpha`` must be integer-valued; for non-integer flux the exponent
     |m+alpha| never vanishes and there is nothing to compare.
     """
-    if alpha != int(alpha):
+    if not float(alpha).is_integer():
         raise ValueError(f"vacancy line exists only at integer alpha, got {alpha!r}")
     cfg = FluxConfig(alpha)
     full = enumerate_states(cfg, e_max, m_min, m_max)
@@ -266,8 +300,8 @@ def magnetic_units(b_tesla: float) -> MagneticUnits:
     length, and hbar omega = hbar |e| B / M is the cyclotron quantum.  At
     B = 1 T: lambda = 3.62826e-8 m, hbar omega = 1.85480e-23 J = 0.11577 meV.
     """
-    if b_tesla <= 0.0:
-        raise ValueError(f"field strength must be positive, got {b_tesla!r}")
+    if not (math.isfinite(b_tesla) and b_tesla > 0.0):
+        raise ValueError(f"field strength must be positive and finite, got {b_tesla!r}")
     lam = math.sqrt(2.0 * _HBAR / (_E_CHARGE * b_tesla))
     e_j = _HBAR * _E_CHARGE * b_tesla / _M_ELECTRON
     return MagneticUnits(b_tesla, lam, e_j, e_j / _E_CHARGE * 1e3)

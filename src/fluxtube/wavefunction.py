@@ -33,8 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .specfun import gauss_laguerre, laguerre, laguerre_deriv
-from .spectrum import (FluxConfig, StateLabel, _norm_regular, _norm_zero_mode,
-                       energy_regular)
+from .spectrum import EigenState, FluxConfig, NonNormalizableError, StateLabel
 
 __all__ = [
     "NonNormalizableError",
@@ -57,10 +56,6 @@ _RESID_H = 1e-3
 _RESID_R_LO = 0.2
 _RESID_MARGIN = 2.0
 _RESID_NPTS = 241
-
-
-class NonNormalizableError(ValueError):
-    """The requested state is not square integrable."""
 
 
 class ZeroEnergyError(ValueError):
@@ -90,8 +85,8 @@ class RadialProfile:
     grid: np.ndarray
     values: np.ndarray
     reduced: Callable
-    reduced_deriv: Callable | None = None
-    reduced_deriv2: Callable | None = None
+    reduced_deriv: Callable | None
+    reduced_deriv2: Callable | None
 
     def analytic(self, r):
         """psi(r) for scalar or array r > 0."""
@@ -131,64 +126,46 @@ def _default_grid(energy: float, r_max: float | None, npoints: int) -> np.ndarra
     return np.linspace(0.0, r_max, npoints + 1)[1:]
 
 
-def _build(label: StateLabel, energy: float, alpha: float, exponent: float,
-           g, gp, gpp, r_max: float | None, npoints: int) -> RadialProfile:
-    grid = _default_grid(energy, r_max, npoints)
-    prof = RadialProfile(label, energy, alpha, exponent, grid,
+def _laguerre_profile(state: EigenState, alpha: float, exponent: float,
+                      r_max: float | None, npoints: int) -> RadialProfile:
+    """state's profile N r^e e^{-r^2/2} L_n^{(e)}(r^2), N its ``norm_const``."""
+    n, norm = state.label.n, state.norm_const
+    g = lambda z: norm * laguerre(n, exponent, z)
+    gp = lambda z: norm * laguerre_deriv(n, exponent, z)
+    if n >= 2:
+        gpp = lambda z: norm * laguerre(n - 2, exponent + 2.0, z)
+    else:
+        gpp = _zero
+    grid = _default_grid(state.energy, r_max, npoints)
+    prof = RadialProfile(state.label, state.energy, alpha, exponent, grid,
                          np.empty(0), g, gp, gpp)
-    values = prof.analytic(grid)
-    return replace(prof, values=values)
+    return replace(prof, values=prof.analytic(grid))
 
 
 def psi_regular(n: int, m: int, alpha: float, *,
                 r_max: float | None = None, npoints: int = 800) -> RadialProfile:
     """Normalized regular-at-origin eigenfunction (n radial nodes, orbital m).
 
-    psi = N r^{|m+alpha|} e^{-r^2/2} L_n^{|m+alpha|}(r^2),
-    N = sqrt(n! / (pi Gamma(|m+alpha| + n + 1))),
-    normalized as int |psi|^2 2 pi r dr = 1.  Spin follows the sign of
-    alpha (sigma = +1/2 for alpha >= 0); for alpha < 0 the n = 0,
-    m + alpha <= 0 members sit at E = 0 and are tagged as zero modes.
+    psi = N r^{|m+alpha|} e^{-r^2/2} L_n^{|m+alpha|}(r^2), normalized as
+    int |psi|^2 2 pi r dr = 1, with the label, energy and N of
+    ``FluxConfig(alpha).regular(n, m)``.  For alpha < 0 its E = 0 members
+    are the zero modes: the same values as ``psi_zero_mode(m, alpha)``.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    am = abs(m + alpha)
-    energy = energy_regular(n, m, alpha)
-    sigma = FluxConfig(alpha).regular_sigma
-    tag = "zero_mode" if energy == 0.0 else "regular"
-    norm = _norm_regular(n, am)
-    g = lambda z: norm * laguerre(n, am, z)
-    gp = lambda z: norm * laguerre_deriv(n, am, z)
-    if n >= 2:
-        gpp = lambda z: norm * laguerre(n - 2, am + 2.0, z)
-    else:
-        gpp = _zero
-    return _build(StateLabel(n, m, sigma, tag), energy, alpha, am,
-                  g, gp, gpp, r_max, npoints)
+    state = FluxConfig(alpha).regular(n, m)
+    return _laguerre_profile(state, alpha, abs(state.label.m + alpha), r_max, npoints)
 
 
 def psi_zero_mode(m: int, alpha: float, *,
                   r_max: float | None = None, npoints: int = 800) -> RadialProfile:
-    """Normalized zero-energy mode psi = r^{-(m+alpha)} e^{-r^2/2} (spin down).
+    """Normalized zero-energy mode psi = N r^{-(m+alpha)} e^{-r^2/2} (spin down).
 
-    Square integrability requires m + alpha < 1 (NonNormalizableError
-    otherwise).  For alpha < 0 the spin-down component must additionally be
-    regular at the origin, which restricts zero modes to m + alpha <= 0;
-    requesting the singular form there raises ValueError.
+    Label and N are those of ``FluxConfig(alpha).zero_mode(m)``, which
+    raises NonNormalizableError or ValueError where no zero mode exists.
+    A state has one normalization constant, so for alpha < 0 this is the
+    same profile as ``psi_regular(0, m, alpha)``.
     """
-    ma = m + alpha
-    if ma >= 1.0:
-        raise NonNormalizableError(
-            f"zero mode needs m + alpha < 1 for square integrability, got {ma}")
-    if alpha < 0 and ma > 0:
-        raise ValueError(
-            "for alpha < 0 the spin-down component is regular at the origin; "
-            f"no zero mode exists at m + alpha = {ma} > 0")
-    norm = _norm_zero_mode(ma)
-    return _build(StateLabel(0, m, -0.5, "zero_mode"), 0.0, alpha, -ma,
-                  lambda z: norm * np.ones_like(np.asarray(z, dtype=float)),
-                  _zero, _zero, r_max, npoints)
+    state = FluxConfig(alpha).zero_mode(m)
+    return _laguerre_profile(state, alpha, -(state.label.m + alpha), r_max, npoints)
 
 
 def apply_supercharge(profile: RadialProfile, direction: str, *,
@@ -198,18 +175,21 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
     ``direction`` is ``"raise_Qdag"`` (acts on sigma = +1/2, yields
     (m+1, -1/2); radial action (1/2)(-d/dr + (m+alpha)/r + r)) or
     ``"lower_Q"`` (acts on sigma = -1/2, yields (m-1, +1/2); radial action
-    (1/2)(+d/dr + (m+alpha)/r + r)).  With ``normalized=True`` the result is
-    scaled by E^{-1/2}, so supercharge images of normalized eigenstates stay
-    normalized and applying the opposite charge recovers the original
-    profile exactly.
+    (1/2)(+d/dr + (m+alpha)/r + r)).  The charges map a regular state and
+    its superpartner onto each other; the image carries the label and
+    energy of that partner in ``FluxConfig(alpha)``.  With
+    ``normalized=True`` the result is scaled by the superpartner's
+    ``norm_const``, E^{-1/2}, so supercharge images of normalized
+    eigenstates stay normalized and applying the opposite charge recovers
+    the original profile exactly.
 
     Raises
     ------
     ZeroEnergyError
         If ``normalized=True`` and E = 0.  Zero modes can still be pushed
-        through unnormalized, and both charges annihilate them: the lowering
-        charge's radial action vanishes identically, while the raising
-        charge kills them through the spin structure — that case returns an
+        through unnormalized: both charges annihilate them (the lowering
+        charge's radial action vanishes identically, the raising charge
+        kills them through the spin structure), and the result is an
         exactly-zero profile.
     SpinSelectionError
         If the profile has E > 0 and its spin is the one the charge
@@ -225,29 +205,31 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
     else:
         raise ValueError(f"direction must be {RAISE!r} or {LOWER!r}, got {direction!r}")
 
-    energy = profile.energy
-    if normalized and energy <= 0.0:
-        raise ZeroEnergyError("cannot normalize a supercharge image at E = 0 "
-                              "(zero modes are annihilated, not paired)")
-    if profile.label.sigma != need_sigma:
-        if energy == 0.0:
-            label = StateLabel(profile.label.n, profile.label.m + dm,
-                               -profile.label.sigma, "superpartner")
-            return RadialProfile(label, 0.0, profile.alpha,
-                                 profile.exponent + 1.0, profile.grid,
-                                 np.zeros_like(profile.grid), _zero, _zero, _zero)
+    src = profile.label
+    if profile.energy == 0.0:
+        if normalized:
+            raise ZeroEnergyError("cannot normalize a supercharge image at E = 0 "
+                                  "(zero modes are annihilated, not paired)")
+        label = StateLabel(src.n, src.m + dm, -src.sigma, "superpartner")
+        return RadialProfile(label, 0.0, profile.alpha, profile.exponent + 1.0,
+                             profile.grid, np.zeros_like(profile.grid), _zero, _zero, _zero)
+    if src.sigma != need_sigma:
         raise SpinSelectionError(
-            f"{direction} annihilates sigma={profile.label.sigma:+.1f} states "
+            f"{direction} annihilates sigma={src.sigma:+.1f} states "
             "through the spin structure; only the opposite spin has a radial image")
     if profile.reduced_deriv is None:
         raise ValueError("source profile lacks an analytic derivative; cannot chain further")
 
-    if normalized:
-        factor = 1.0 / math.sqrt(energy)
+    # the charge maps a regular state and its superpartner onto each other
+    cfg = FluxConfig(profile.alpha)
+    if src.tag == "superpartner":
+        partner = cfg.superpartner(src.n, src.m)
+        image = cfg.regular(src.n, src.m + dm)
     else:
-        factor = 1.0
+        partner = image = cfg.superpartner(src.n, src.m + dm)
+    factor = partner.norm_const if normalized else 1.0
 
-    ma = profile.label.m + profile.alpha
+    ma = src.m + profile.alpha
     e = profile.exponent
     g, gp, gpp = profile.reduced, profile.reduced_deriv, profile.reduced_deriv2
     coef = s * e + ma  # coefficient of the r^{e-1} component of the image
@@ -268,9 +250,7 @@ def apply_supercharge(profile: RadialProfile, direction: str, *,
         else:
             new_gp = None
 
-    label = StateLabel(profile.label.n, profile.label.m + dm,
-                       -profile.label.sigma, "superpartner")
-    prof = RadialProfile(label, energy, profile.alpha, new_e, profile.grid,
+    prof = RadialProfile(image.label, image.energy, profile.alpha, new_e, profile.grid,
                          np.empty(0), new_g, new_gp, None)
     return replace(prof, values=prof.analytic(profile.grid))
 

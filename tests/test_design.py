@@ -1,9 +1,13 @@
-"""Design budget on the number of values a caller can set.
+"""Design checks over ``src/fluxtube``, by AST.
 
-Counted by AST over ``src/fluxtube``: the defaulted parameters of
-module-level public functions plus the defaulted fields of public classes.
-A new option has to replace an old one, or raise the budget here with a
-reason.
+The budget on the number of values a caller can set counts the defaulted
+parameters of module-level public functions plus the defaulted fields of
+public classes.  A new option has to replace an old one, or raise the
+budget here with a reason.
+
+No module imports an underscore-prefixed name from another fluxtube
+module: what one module needs from another is public there, so each
+decision has one home.
 """
 
 import ast
@@ -11,7 +15,7 @@ import pathlib
 
 import fluxtube
 
-SETTABLE_VALUES_BUDGET = 24
+SETTABLE_VALUES_BUDGET = 22
 
 
 def _settable_values(tree: ast.Module) -> int:
@@ -26,8 +30,31 @@ def _settable_values(tree: ast.Module) -> int:
     return count
 
 
+PACKAGE = pathlib.Path(fluxtube.__file__).parent
+
+
 def test_settable_values_stay_within_budget():
-    package = pathlib.Path(fluxtube.__file__).parent
     total = sum(_settable_values(ast.parse(path.read_text()))
-                for path in sorted(package.glob("*.py")))
+                for path in sorted(PACKAGE.glob("*.py")))
     assert total <= SETTABLE_VALUES_BUDGET
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore-prefixed names a module imports from fluxtube (dunders aside)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "fluxtube":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{'.' * node.level}{node.module or ''}.{name}")
+    return found
+
+
+def test_modules_import_no_private_names_from_each_other():
+    found = {path.name: _private_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

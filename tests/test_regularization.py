@@ -195,6 +195,15 @@ def test_tube_model_validation():
         find_xi_roots(TubeModel(0.2, 0.5, 0, 0.5), n_max=-1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,message", [("radius", "shell radius"), ("alpha", "alpha"),
+                                          ("m", "orbital number m"), ("sigma", "sigma")])
+def test_tube_model_rejects_non_finite_fields(name, message, value):
+    fields = {"radius": 0.3, "alpha": 0.5, "m": 0, "sigma": 0.5, name: value}
+    with pytest.raises(ValueError, match=message):
+        TubeModel(**fields)
+
+
 def test_xi_energy_round_trip():
     model = TubeModel(0.2, 1.75, -2, -0.5)
     ma = -2 + 1.75

@@ -114,4 +114,5 @@ def test_large_a_gap_witness():
 
 @pytest.mark.xfail(strict=True, reason="known gap (2): b just off an integer at small z")
 def test_near_integer_b_gap_witness():
-    assert rel_err(1.35, 1.0 + 1.6e-8, 7.8) <= TOL
+    # the second point returns pure cancellation noise: relative error ~7
+    assert max(rel_err(1.35, 1.0 + 1.6e-8, 7.8), rel_err(4.513, 1.0 + 4.66e-7, 7.593)) <= TOL

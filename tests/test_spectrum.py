@@ -19,12 +19,15 @@ import pytest
 
 from fluxtube import (
     FluxConfig,
+    ShootingProblem,
     StateLabel,
+    TubeModel,
     energy_regular,
     enumerate_states,
     magnetic_units,
     vacancy_line_compare,
 )
+from fluxtube.specfun import DomainError, laguerre, laguerre_deriv
 
 HBAR = 1.054571817e-34
 E_CHARGE = 1.602176634e-19
@@ -260,3 +263,66 @@ def test_state_label_is_hashable_and_frozen():
     assert hash(lab) == hash(StateLabel(0, 1, 0.5, "regular"))
     with pytest.raises(AttributeError):
         lab.n = 2
+
+
+# --- family constructors and input checks --------------------------------------
+
+@pytest.mark.parametrize("alpha", [-1.2, -0.5, 0.0, 0.5, 1.5])
+def test_enumeration_lists_the_family_constructors_states(alpha):
+    cfg = FluxConfig(alpha)
+    for s in enumerate_states(cfg, 6.0, -4, 4):
+        n, m = s.label.n, s.label.m
+        if s.label.tag == "superpartner":
+            assert cfg.superpartner(n, m) == s
+        elif s.label.sigma == cfg.regular_sigma:
+            assert cfg.regular(n, m) == s
+        if s.label.tag == "zero_mode":
+            assert cfg.zero_mode(m) == s
+
+
+def test_family_constructors_refuse_absent_states():
+    with pytest.raises(ValueError, match="no partner"):
+        FluxConfig(-0.5).superpartner(0, -1)   # source (0, 0) is a zero mode
+    with pytest.raises(ValueError, match="regular at the origin"):
+        FluxConfig(-0.5).zero_mode(1)
+    with pytest.raises(ValueError, match="square integrability"):
+        FluxConfig(0.5).zero_mode(1)
+
+
+def test_state_label_stores_integers():
+    label = StateLabel(2.0, -1.0, 0.5)
+    assert (type(label.n), type(label.m)) == (int, int)
+    assert FluxConfig(0.1).regular(2.0, 1.0) == FluxConfig(0.1).regular(2, 1)
+
+
+INTEGER_CHECKS = {
+    "StateLabel n": (lambda x: StateLabel(x, 0, 0.5), ValueError),
+    "StateLabel m": (lambda x: StateLabel(0, x, 0.5), ValueError),
+    "TubeModel m": (lambda x: TubeModel(0.3, 0.5, x, 0.5), ValueError),
+    "ShootingProblem m": (lambda x: ShootingProblem(alpha=0.5, m=x, sigma=0.5), ValueError),
+    "vacancy_line_compare alpha": (lambda x: vacancy_line_compare(x, 3.0, -2, 2), ValueError),
+    "laguerre n": (lambda x: laguerre(x, 0.5, 1.0), DomainError),
+    "laguerre_deriv n": (lambda x: laguerre_deriv(x, 0.5, 1.0), DomainError),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(INTEGER_CHECKS))
+def test_integer_checks_reject_non_finite_values(name, value):
+    build, error = INTEGER_CHECKS[name]
+    with pytest.raises(error):
+        build(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_states(FluxConfig(0.5), math.inf, 0, 0),
+    lambda: enumerate_states(FluxConfig(0.5), math.nan, 0, 0),
+    lambda: energy_regular(0, 0, math.inf),
+    lambda: energy_regular(0, 0, math.nan),
+    lambda: magnetic_units(math.nan),
+    lambda: magnetic_units(math.inf),
+], ids=["enumerate e_max=inf", "enumerate e_max=nan", "energy alpha=inf",
+        "energy alpha=nan", "units B=nan", "units B=inf"])
+def test_non_finite_inputs_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()

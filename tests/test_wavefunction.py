@@ -14,12 +14,15 @@ import pytest
 from fluxtube import (
     LOWER,
     RAISE,
+    FluxConfig,
     apply_supercharge,
+    enumerate_states,
     hamiltonian_residual,
     inner_product,
     psi_regular,
     psi_zero_mode,
 )
+from fluxtube.specfun import laguerre
 from fluxtube.wavefunction import (
     NonNormalizableError,
     SpinSelectionError,
@@ -157,8 +160,8 @@ def test_supercharge_round_trip_recovers_source():
         up = RAISE if src.label.sigma == 0.5 else LOWER
         down = LOWER if up == RAISE else RAISE
         back = apply_supercharge(apply_supercharge(src, up), down)
-        assert back.label.m == src.label.m
-        assert back.label.sigma == src.label.sigma
+        assert back.label == src.label   # the image of a superpartner is its source
+        assert back.energy == src.energy
         np.testing.assert_allclose(back.values, src.values, rtol=0, atol=1e-9)
 
 
@@ -207,6 +210,20 @@ def test_zero_mode_construction_guards():
         psi_zero_mode(1, -0.5)         # alpha < 0 with m + alpha > 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: psi_zero_mode(0, math.nan),
+    lambda: psi_zero_mode(0, math.inf),
+    lambda: psi_zero_mode(0, -math.inf),
+    lambda: psi_regular(0, 0, math.nan),
+    lambda: psi_regular(math.inf, 0, 0.5),
+    lambda: psi_regular(0, math.inf, 0.5),
+], ids=["zero alpha=nan", "zero alpha=inf", "zero alpha=-inf", "regular alpha=nan",
+        "regular n=inf", "regular m=inf"])
+def test_non_finite_inputs_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_regular_construction_guards():
     with pytest.raises(ValueError):
         psi_regular(-1, 0, 0.5)
@@ -243,3 +260,58 @@ def test_hamiltonian_residual_detects_perturbation():
     spoiled = replace(
         prof, reduced=lambda z: prof.reduced(z) * (1.0 + 0.01 * np.sqrt(z)))
     assert hamiltonian_residual(spoiled) > 1e-3
+
+
+# --- one home for each state ----------------------------------------------------
+
+SAME_STATE_ALPHAS = (-0.3, -0.5, -0.7, -1.2, -1.9, -2.5, -0.123)
+
+
+@pytest.mark.parametrize("alpha", SAME_STATE_ALPHAS)
+def test_alpha_negative_zero_mode_is_one_profile(alpha):
+    """psi_regular(0, m) and psi_zero_mode(m) name the same state: same bits."""
+    for m in range(-5, 3):
+        if m + alpha > 0:
+            continue
+        reg, zm = psi_regular(0, m, alpha), psi_zero_mode(m, alpha)
+        assert reg.label == zm.label
+        assert reg.exponent.hex() == zm.exponent.hex()
+        assert np.array_equal(reg.values, zm.values)
+        assert reg.reduced(0.0).hex() == zm.reduced(0.0).hex()
+
+
+def _profiles_of(state, alpha):
+    """Every builder of a regular or zero-mode state, each one of its profiles."""
+    n, m = state.label.n, state.label.m
+    if state.label.tag == "regular":
+        return [psi_regular(n, m, alpha)]
+    if alpha < 0:
+        return [psi_regular(0, m, alpha), psi_zero_mode(m, alpha)]
+    return [psi_zero_mode(m, alpha)]
+
+
+@pytest.mark.parametrize("alpha", [-1.2, -0.5, 0.0, 0.5, 1.5])
+def test_profiles_carry_the_spectrum_norm_const(alpha):
+    for s in enumerate_states(FluxConfig(alpha), 6.0, -4, 4):
+        if s.label.tag == "superpartner":
+            continue
+        ma = abs(s.label.m + alpha)
+        for prof in _profiles_of(s, alpha):
+            assert (prof.label, prof.energy) == (s.label, s.energy)
+            assert prof.reduced(0.0) == s.norm_const * laguerre(s.label.n, ma, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.2, -0.5, 0.0, 0.5, 1.5])
+def test_superpartner_images_carry_the_spectrum_state(alpha):
+    cfg = FluxConfig(alpha)
+    z = np.linspace(0.0, 9.0, 19)
+    for s in enumerate_states(cfg, 6.0, -4, 4):
+        if s.label.tag != "superpartner":
+            continue
+        dm = 1 if alpha >= 0 else -1
+        src = psi_regular(s.label.n, s.label.m - dm, alpha)
+        direction = RAISE if src.label.sigma == 0.5 else LOWER
+        image = apply_supercharge(src, direction)
+        raw = apply_supercharge(src, direction, normalized=False)
+        assert (image.label, image.energy) == (s.label, s.energy)
+        assert np.array_equal(image.reduced(z), s.norm_const * raw.reduced(z))
