@@ -30,13 +30,20 @@ vectors, and chained within blocks of _BLOCK steps into the prefix products
 M_j ... M_0 by a work-efficient up/down sweep; these give psi after every
 step for the node count.  (psi, phi) is carried from block to block and
 renormalized once per block, so the amplitudes never leave floating-point
-range.
+range.  The energy enters a step only through one constant, so the rest of
+each region's grid (r and the energy-free part of V_eff at r, r + h/2 and
+r + h) is built once and memoized for the regions of one problem.
 
 Levels are found by node counting, not on an energy grid: by the Sturm
 oscillation theorem the number N(E) of sign changes of psi on (0, r_max] is
 the number of zeros of D below E, and D(E) has the sign (-1)^N(E).
-Bisection on N gives each level a bracket of its own, across which brentq
-refines D (J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
+Bisection on N gives each level a bracket of its own (J. D. Pryce,
+Numerical Solution of Sturm-Liouville Problems, 1993).  Across a bracket
+|D| still carries the growth factor of the unwanted solution, often
+several orders of magnitude from end to end, which slows brentq's
+interpolation.  brentq therefore refines D divided by the log-linear
+interpolation of |D| between the bracket's ends: a positive factor, so the
+detrended defect has the sign and the zeros of D.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ _INNER_REFINE = 32
 _BLOCK = 512
 _PASS = 4 * _BLOCK
 _E_TOL = 1e-12  # absolute brentq tolerance on each eigenvalue
+_GRID_REGIONS = 4  # cut at the inner edge and the shell, a problem has at most four regions
+_GRIDS: dict = {}  # region -> its energy-independent grid arrays (see _region_grid)
 
 
 @dataclass(frozen=True)
@@ -95,22 +104,62 @@ class ShootingProblem:
             raise ValueError(f"r_max must be finite and > {_R_START}, got {self.r_max!r}")
 
 
-def _rk4_step(psi, phi, r, h, c0, c1):
-    """One classical RK4 step of (psi, phi) from r to r + h; numpy broadcasts."""
-    rh = r + 0.5 * h
+def _region_grid(r0, r1, nsteps, ma):
+    """The energy-independent arrays of one region, one tuple per pass of up
+    to ``_PASS`` steps: r and ma^2/x^2 + x^2 at x = r, r + h/2 and r + h.
+
+    Memoized by region in ``_GRIDS``, which is emptied when it would hold more
+    than ``_GRID_REGIONS`` regions, one problem's worth (0.43 MB at r_max = 12)."""
+    key = (r0, r1, nsteps, ma)
+    passes = _GRIDS.get(key)
+    if passes is None:
+        if len(_GRIDS) >= _GRID_REGIONS:
+            _GRIDS.clear()
+        h = (r1 - r0) / nsteps
+        c0 = ma * ma
+        passes = []
+        for first in range(0, nsteps, _PASS):
+            r = r0 + np.arange(first, min(first + _PASS, nsteps)) * h
+            rh = r + 0.5 * h
+            rf = r + h
+            grid = (r, c0 / (r * r) + r * r, c0 / (rh * rh) + rh * rh, c0 / (rf * rf) + rf * rf)
+            for x in grid:  # shared by every later shot of the region
+                x.flags.writeable = False
+            passes.append(grid)
+        _GRIDS[key] = passes
+    return passes
+
+
+def _rk4_step(grid, h, c1):
+    """One classical RK4 step from r to r + h on every point of a pass, applied
+    to the unit starts (psi, phi) = (1, 0) and (0, 1): the two columns of each
+    step's propagator.  The operations are those of the general step, in the
+    same order, less the products with 0 or 1 that the unit starts make exact,
+    so the columns carry the same bits."""
+    r, g, gh, gf = grid
+    hh = 0.5 * h
+    h6 = h / 6.0
+    rh = r + hh
     rf = r + h
-    q1 = -phi / r + (c0 / (r * r) + r * r + c1) * psi
-    p2 = psi + 0.5 * h * phi
-    f2 = phi + 0.5 * h * q1
-    q2 = -f2 / rh + (c0 / (rh * rh) + rh * rh + c1) * p2
-    p3 = psi + 0.5 * h * f2
-    f3 = phi + 0.5 * h * q2
-    q3 = -f3 / rh + (c0 / (rh * rh) + rh * rh + c1) * p3
-    p4 = psi + h * f3
-    f4 = phi + h * q3
-    q4 = -f4 / rf + (c0 / (rf * rf) + rf * rf + c1) * p4
-    return (psi + h / 6.0 * (phi + 2.0 * f2 + 2.0 * f3 + f4),
-            phi + h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+    w, wh, wf = g + c1, gh + c1, gf + c1
+    # (1, 0): q1 = w, p2 = 1
+    f2 = hh * w
+    q2 = -f2 / rh + wh
+    f3 = hh * q2
+    q3 = -f3 / rh + wh * (1.0 + hh * f2)
+    f4 = h * q3
+    q4 = -f4 / rf + wf * (1.0 + h * f3)
+    first = (1.0 + h6 * (2.0 * f2 + 2.0 * f3 + f4), h6 * (w + 2.0 * q2 + 2.0 * q3 + q4))
+    # (0, 1): p2 = h/2
+    q1 = -1.0 / r
+    f2 = 1.0 + hh * q1
+    q2 = -f2 / rh + wh * hh
+    f3 = 1.0 + hh * q2
+    q3 = -f3 / rh + wh * (hh * f2)
+    f4 = 1.0 + h * q3
+    q4 = -f4 / rf + wf * (h * f3)
+    second = (h6 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4), 1.0 + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
+    return first, second
 
 
 def _prefix_products(m):
@@ -141,19 +190,15 @@ def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
     Each pass builds the propagators of up to ``_PASS`` steps, pads them with
     identities to whole blocks and chains each block into prefix products."""
     h = (r1 - r0) / nsteps
-    c0 = ma * ma
     c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
-    unit = np.array([[1.0], [0.0]])
     log_scale = 0.0
     negative = psi < 0.0
-    for first in range(0, nsteps, _PASS):
-        r = r0 + np.arange(first, min(first + _PASS, nsteps)) * h
-        n = r.size
+    for grid in _region_grid(r0, r1, nsteps, ma):
+        n = grid[0].size
         blocks = -(-n // _BLOCK)
         m = np.zeros((2, 2, blocks * _BLOCK))
         m[0, 0, n:] = m[1, 1, n:] = 1.0
-        # column j of each M_i: the step applied to the unit vector e_j
-        m[0, :, :n], m[1, :, :n] = _rk4_step(unit, unit[::-1], r, h, c0, c1)
+        (m[0, 0, :n], m[1, 0, :n]), (m[0, 1, :n], m[1, 1, :n]) = _rk4_step(grid, h, c1)
         m = m.reshape(2, 2, blocks, _BLOCK)
         _prefix_products(m)
         starts = np.empty((blocks, 2))
@@ -232,14 +277,22 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
                        e_max: float = 6.0, count: int | None = None) -> list[float]:
     """Eigenvalues in (e_min, e_max), isolated by node count and refined by brentq.
 
-    Bisection on N(E) splits the window until each bracket holds one level,
-    where brentq refines D(E) to ``_E_TOL``; no energy is shot twice on one
-    integration range.  With ``count`` set, the window (and the integration
-    range, which must reach past the classical turning point) grows until it
-    holds ``count`` levels, at most seven times, and the first ``count``
-    levels are returned.  A shot inside a bracket whose node count leaves
-    the range of the counts at its ends raises RuntimeError: the step h is
-    then too coarse for the levels to be trusted.
+    Bisection on N(E) splits the window until each bracket (a, b) holds one
+    level, where brentq refines the detrended defect
+
+        F(E) = D(E) exp(kappa (E - a)) / |D(a)|,
+        kappa = ln(|D(a)| / |D(b)|) / (b - a),
+
+    to ``_E_TOL``.  The factor is positive, so F has the sign and the zeros
+    of D, and it takes out the exponential trend of |D| across the bracket:
+    F is +-1 at the ends, whose shots are already made (kappa = 0 if an end
+    has D = 0).  No energy is shot twice on one integration range.  With
+    ``count`` set, the window (and the integration range, which must reach
+    past the classical turning point) grows until it holds ``count`` levels,
+    at most seven times, and the first ``count`` levels are returned.  A shot
+    inside a bracket whose node count leaves the range of the counts at its
+    ends raises RuntimeError: the step h is then too coarse for the levels to
+    be trusted.
     """
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"energy window must be finite, got ({e_min!r}, {e_max!r})")
@@ -289,5 +342,19 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
         inside(c, a, b)
         return isolate(a, c) + isolate(c, b)
 
-    brackets = isolate(e_min, e_max)
-    return [brentq(lambda e: inside(e, a, b)[0], a, b, xtol=_E_TOL)[0] for a, b in brackets]
+    def detrended(a: float, b: float):
+        """F on the bracket (a, b), computed in the log domain (|D| reaches
+        1e47) and clamped, like D, at e^600."""
+        d_a, d_b = shot(a)[0], shot(b)[0]
+        log_a = math.log(abs(d_a)) if d_a else 0.0
+        kappa = (log_a - math.log(abs(d_b))) / (b - a) if d_a and d_b else 0.0
+
+        def f(e: float) -> float:
+            d = inside(e, a, b)[0]
+            if d == 0.0:
+                return 0.0
+            return math.copysign(math.exp(min(math.log(abs(d)) + kappa * (e - a) - log_a,
+                                              600.0)), d)
+        return f
+
+    return [brentq(detrended(a, b), a, b, xtol=_E_TOL)[0] for a, b in isolate(e_min, e_max)]

@@ -99,8 +99,8 @@ def test_count_mode_returns_exactly_count():
         assert ev == pytest.approx(n + 0.5, abs=1e-6)
 
 
-def test_count_mode_extends_past_initial_window(monkeypatch):
-    # only one level below 1.5; the window must grow to find three
+def _record_shots(monkeypatch) -> list[float]:
+    """The energies of every later call to ``fluxtube.oracle.shoot``."""
     calls = []
     real_shoot = fluxtube.oracle.shoot
 
@@ -109,12 +109,28 @@ def test_count_mode_extends_past_initial_window(monkeypatch):
         return real_shoot(problem, energy)
 
     monkeypatch.setattr(fluxtube.oracle, "shoot", counting_shoot)
+    return calls
+
+
+def test_count_mode_extends_past_initial_window(monkeypatch):
+    # only one level below 1.5; the window must grow to find three
+    calls = _record_shots(monkeypatch)
     evs = oracle_eigenvalues(ShootingProblem(alpha=0.0, m=0, sigma=0.5),
                              e_max=1.5, count=3)
     assert [round(e) for e in evs] == [1, 2, 3]
     # widening shoots only the new window end, never an energy already shot
-    assert len(calls) <= 60
+    assert len(calls) <= 30
     assert len(set(calls)) == len(calls)
+
+
+def test_refinement_shot_budget(monkeypatch):
+    # |D| falls from 5.9e44 to 8.8e41 across the first bracket of this channel;
+    # brentq on D itself spends 38 shots here, on the detrended defect 23
+    calls = _record_shots(monkeypatch)
+    evs = oracle_eigenvalues(ShootingProblem(alpha=0.5, m=1, sigma=-0.5, shell_radius=0.3),
+                             e_min=-0.3, e_max=4.0, count=3)
+    assert len(evs) == 3
+    assert len(calls) <= 26
 
 
 def test_count_mode_fails_loudly_when_levels_stay_out_of_reach():
@@ -208,6 +224,14 @@ def test_shoot_matches_the_scalar_rk4_loop(kwargs, monkeypatch):
         d_ref, n_ref = shoot(prob, e)
         assert n == n_ref, e
         assert d == pytest.approx(d_ref, rel=1e-10), e
+
+
+def test_grid_memo_holds_one_problem():
+    # the inner regions of m = 0 and m = 1 differ: six regions for a memo of four
+    problems = [ShootingProblem(alpha=0.5, m=m, sigma=0.5, shell_radius=0.3) for m in (0, 1)]
+    first = [shoot(p, 1.3) for p in problems]
+    assert len(fluxtube.oracle._GRIDS) <= fluxtube.oracle._GRID_REGIONS
+    assert [shoot(p, 1.3) for p in problems] == first
 
 
 def test_problem_validation():
