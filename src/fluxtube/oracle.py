@@ -24,15 +24,18 @@ is integrated at a 32-fold finer step because the 1/r terms are stiff near
 the origin.
 
 The equation is linear in (psi, phi = psi'), so one RK4 step is a 2x2
-propagator matrix M_i(E).  The propagators of a few thousand steps are
-built at once in numpy, from the step formula applied to both unit start
-vectors, and chained within blocks of _BLOCK steps into the prefix products
-M_j ... M_0 by a work-efficient up/down sweep; these give psi after every
-step for the node count.  (psi, phi) is carried from block to block and
-renormalized once per block, so the amplitudes never leave floating-point
-range.  The energy enters a step only through one constant, so the rest of
-each region's grid (r and the energy-free part of V_eff at r, r + h/2 and
-r + h) is built once and memoized for the regions of one problem.
+propagator matrix M_i(E).  The energy enters a step only through the
+constant c1 = 2 m_eff + 4 sigma - 4E, and every entry of M_i is a
+polynomial in c1 of degree at most two whose coefficients depend on the
+grid alone.  They are computed once for each region of the problem being
+shot (a memo of one problem, 0.93 MB at r_max = 12), and a shot evaluates
+them at its c1 by Horner's rule.  Within blocks of _BLOCK steps the
+propagators are swept up into tile products (G. E. Blelloch, "Prefix sums
+and their applications", CMU-CS-90-190, 1990).  The block totals carry
+(psi, phi) from block to block, renormalized once per block so that the
+amplitudes never leave floating-point range; on the way down each tile's
+left product takes the tile's start vector to its midpoint, which gives psi
+after every step for the node count.
 
 Levels are found by node counting, not on an energy grid: by the Sturm
 oscillation theorem the number N(E) of sign changes of psi on (0, r_max] is
@@ -60,15 +63,14 @@ __all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues"]
 # Integration grid, shared by every problem: the Frobenius start radius, the
 # edge of the stiff inner region and its step refinement.  RK4 steps are
 # chained in blocks of _BLOCK (a power of two) between renormalizations, and
-# _PASS steps are built and chained at once.
+# _PASS steps are evaluated and chained at once.
 _R_START = 1e-4
 _INNER_EDGE = 0.05
 _INNER_REFINE = 32
 _BLOCK = 512
 _PASS = 4 * _BLOCK
 _E_TOL = 1e-12  # absolute brentq tolerance on each eigenvalue
-_GRID_REGIONS = 4  # cut at the inner edge and the shell, a problem has at most four regions
-_GRIDS: dict = {}  # region -> its energy-independent grid arrays (see _region_grid)
+_PROPAGATORS: dict = {}  # region -> its propagator coefficients, for one problem at a time
 
 
 @dataclass(frozen=True)
@@ -104,121 +106,126 @@ class ShootingProblem:
             raise ValueError(f"r_max must be finite and > {_R_START}, got {self.r_max!r}")
 
 
-def _region_grid(r0, r1, nsteps, ma):
-    """The energy-independent arrays of one region, one tuple per pass of up
-    to ``_PASS`` steps: r and ma^2/x^2 + x^2 at x = r, r + h/2 and r + h.
+def _propagator_coefficients(r0, r1, nsteps, ma):
+    """The coefficients of the RK4 step propagators of one region as
+    polynomials in c1 = 2 ma + 4 sigma - 4E, one column per step.
 
-    Memoized by region in ``_GRIDS``, which is emptied when it would hold more
-    than ``_GRID_REGIONS`` regions, one problem's worth (0.43 MB at r_max = 12)."""
+    V_eff enters a step as w(x) = ma^2/x^2 + x^2 + c1 at x = r, r + h/2 and
+    r + h, so every entry of the propagator is a polynomial in c1: m01 is
+    linear, and m00, m10, m11 are quadratic, where m00 and m11 share the
+    constant c1^2 coefficient h^4/24.  The rows are the other nine
+    coefficients: m00 (c1^0, c1^1), m01 (c1^0, c1^1), m10 (c1^0, c1^1, c1^2)
+    and m11 (c1^0, c1^1), expanded from the step formula applied to the unit
+    starts (psi, phi) = (1, 0) and (0, 1).
+
+    Memoized by region in ``_PROPAGATORS``, which ``shoot`` keeps to the
+    regions of the problem it shoots (0.93 MB at r_max = 12, h = 1e-3)."""
     key = (r0, r1, nsteps, ma)
-    passes = _GRIDS.get(key)
-    if passes is None:
-        if len(_GRIDS) >= _GRID_REGIONS:
-            _GRIDS.clear()
-        h = (r1 - r0) / nsteps
-        c0 = ma * ma
-        passes = []
-        for first in range(0, nsteps, _PASS):
-            r = r0 + np.arange(first, min(first + _PASS, nsteps)) * h
-            rh = r + 0.5 * h
-            rf = r + h
-            grid = (r, c0 / (r * r) + r * r, c0 / (rh * rh) + rh * rh, c0 / (rf * rf) + rf * rf)
-            for x in grid:  # shared by every later shot of the region
-                x.flags.writeable = False
-            passes.append(grid)
-        _GRIDS[key] = passes
-    return passes
-
-
-def _rk4_step(grid, h, c1):
-    """One classical RK4 step from r to r + h on every point of a pass, applied
-    to the unit starts (psi, phi) = (1, 0) and (0, 1): the two columns of each
-    step's propagator.  The operations are those of the general step, in the
-    same order, less the products with 0 or 1 that the unit starts make exact,
-    so the columns carry the same bits."""
-    r, g, gh, gf = grid
-    hh = 0.5 * h
+    coef = _PROPAGATORS.get(key)
+    if coef is not None:
+        return coef
+    h = (r1 - r0) / nsteps
+    a = 0.5 * h
+    aa = a * a
     h6 = h / 6.0
-    rh = r + hh
-    rf = r + h
-    w, wh, wf = g + c1, gh + c1, gf + c1
-    # (1, 0): q1 = w, p2 = 1
-    f2 = hh * w
-    q2 = -f2 / rh + wh
-    f3 = hh * q2
-    q3 = -f3 / rh + wh * (1.0 + hh * f2)
-    f4 = h * q3
-    q4 = -f4 / rf + wf * (1.0 + h * f3)
-    first = (1.0 + h6 * (2.0 * f2 + 2.0 * f3 + f4), h6 * (w + 2.0 * q2 + 2.0 * q3 + q4))
-    # (0, 1): p2 = h/2
-    q1 = -1.0 / r
-    f2 = 1.0 + hh * q1
-    q2 = -f2 / rh + wh * hh
-    f3 = 1.0 + hh * q2
-    q3 = -f3 / rh + wh * (hh * f2)
-    f4 = 1.0 + h * q3
-    q4 = -f4 / rf + wf * (h * f3)
-    second = (h6 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4), 1.0 + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4))
-    return first, second
-
-
-def _prefix_products(m):
-    """Replace the 2x2 matrices m[:, :, ..., j] along the last axis by their
-    inclusive prefix products M_j ... M_0, in place, with the work-efficient
-    up/down sweep (G. E. Blelloch, "Prefix sums and their applications",
-    CMU-CS-90-190, 1990).  The last axis has a power-of-two length."""
-    n = m.shape[-1]
-
-    def absorb(later, earlier):
-        lat, ear = m[..., later], m[..., earlier]
-        m[..., later] = lat[:, :1] * ear[:1] + lat[:, 1:] * ear[1:]
-
-    span = 1
-    while 2 * span <= n:  # up: the last entry of each 2*span tile takes its product
-        absorb(slice(2 * span - 1, None, 2 * span), slice(span - 1, None, 2 * span))
-        span *= 2
-    span = n // 4
-    while span:  # down: each tile midpoint takes the product of all before it
-        absorb(slice(3 * span - 1, None, 2 * span), slice(2 * span - 1, n - span, 2 * span))
-        span //= 2
+    c0 = ma * ma
+    coef = np.empty((9, nsteps))
+    for first in range(0, nsteps, _BLOCK):  # in blocks, so no temporary outgrows one
+        r = r0 + np.arange(first, min(first + _BLOCK, nsteps)) * h
+        rh = r + a
+        rf = r + h
+        g, gh, gf = c0 / (r * r) + r * r, c0 / (rh * rh) + rh * rh, c0 / (rf * rf) + rf * rf
+        # start (1, 0); x, x_1 and x_2 are the c1^0, c1^1 and c1^2 coefficients of x
+        q2, q2_1 = gh - a * g / rh, 1.0 - a / rh
+        p3 = 1.0 + aa * g
+        q3, q3_1 = gh * p3 - a * q2 / rh, aa * gh + p3 - a * q2_1 / rh
+        p4, p4_1 = 1.0 + h * a * q2, h * a * q2_1
+        q4 = gf * p4 - h * q3 / rf
+        q4_1 = gf * p4_1 + p4 - h * q3_1 / rf
+        q4_2 = p4_1 - h * aa / rf
+        coef[:2, first:first + r.size] = (1.0 + h6 * (2.0 * a * g + 2.0 * a * q2 + h * q3),
+                                          h6 * (2.0 * a + 2.0 * a * q2_1 + h * q3_1))
+        coef[4:7, first:first + r.size] = (h6 * (g + 2.0 * q2 + 2.0 * q3 + q4),
+                                           h6 * (1.0 + 2.0 * q2_1 + 2.0 * q3_1 + q4_1),
+                                           h6 * (2.0 * aa + q4_2))
+        # start (0, 1)
+        q1 = -1.0 / r
+        f2 = 1.0 + a * q1
+        q2 = a * gh - f2 / rh
+        p3 = a * f2
+        f3 = 1.0 + a * q2
+        q3, q3_1 = gh * p3 - f3 / rh, p3 - aa / rh
+        f4 = 1.0 + h * q3
+        q4 = gf * h * f3 - f4 / rf
+        q4_1 = gf * h * aa + h * f3 - h * q3_1 / rf
+        coef[2:4, first:first + r.size] = (h6 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4),
+                                           h6 * (2.0 * aa + h * q3_1))
+        coef[7:, first:first + r.size] = (1.0 + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
+                                          h6 * (2.0 * a + 2.0 * q3_1 + q4_1))
+    coef.flags.writeable = False  # shared by every later shot of the region
+    _PROPAGATORS[key] = coef
+    return coef
 
 
 def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
     """Integrate one region with fixed angular number; returns (psi, phi,
     log_scale, nodes), adding the sign changes of psi to the node count.
 
-    Each pass builds the propagators of up to ``_PASS`` steps, pads them with
-    identities to whole blocks and chains each block into prefix products."""
+    Each pass evaluates the memoized polynomials of up to ``_PASS`` steps
+    at this energy's c1 (Horner), pads them with identities to whole blocks
+    of ``_BLOCK`` steps (a pass shorter than a block: to the next power of
+    two) and sweeps each block up into tile products.  The block totals carry
+    (psi, phi) from block to block; on the way down each tile's left product
+    takes the tile's start vector to its midpoint, and the last level
+    computes psi alone."""
     h = (r1 - r0) / nsteps
     c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
+    quad = c1 * h ** 4 / 24.0  # c1 times the c1^2 coefficient of m00 and m11
+    coef = _propagator_coefficients(r0, r1, nsteps, ma)
     log_scale = 0.0
     negative = psi < 0.0
-    for grid in _region_grid(r0, r1, nsteps, ma):
-        n = grid[0].size
-        blocks = -(-n // _BLOCK)
-        m = np.zeros((2, 2, blocks * _BLOCK))
+    for first in range(0, nsteps, _PASS):
+        k = coef[:, first:first + _PASS]
+        n = k.shape[1]
+        width = min(_BLOCK, 1 << (n - 1).bit_length())
+        m = np.empty((2, 2, -(-n // width) * width))
+        m[..., n:] = 0.0
         m[0, 0, n:] = m[1, 1, n:] = 1.0
-        (m[0, 0, :n], m[1, 0, :n]), (m[0, 1, :n], m[1, 1, :n]) = _rk4_step(grid, h, c1)
-        m = m.reshape(2, 2, blocks, _BLOCK)
-        _prefix_products(m)
-        starts = np.empty((blocks, 2))
-        for k, ((pa, pb), (pc, pd)) in enumerate(m[..., -1].transpose(2, 0, 1).tolist()):
-            starts[k] = psi, phi
+        m[0, 0, :n] = (k[1] + quad) * c1 + k[0]
+        m[0, 1, :n] = k[3] * c1 + k[2]
+        m[1, 0, :n] = (k[6] * c1 + k[5]) * c1 + k[4]
+        m[1, 1, :n] = (k[8] + quad) * c1 + k[7]
+        span = 1
+        while span < width:  # up: the last entry of each 2*span tile takes its product
+            lat, ear = m[..., 2 * span - 1::2 * span], m[..., span - 1::2 * span]
+            m[..., 2 * span - 1::2 * span] = lat[:, :1] * ear[:1] + lat[:, 1:] * ear[1:]
+            span *= 2
+        # (psi, phi) before the pass and after each step, to one positive scale per block
+        v = np.empty((2, m.shape[-1] + 1))
+        totals = m[..., width - 1::width].transpose(2, 0, 1).tolist()
+        for b, ((pa, pb), (pc, pd)) in enumerate(totals):
+            v[:, b * width] = psi, phi
             psi, phi = pa * psi + pb * phi, pc * psi + pd * phi
             s = max(abs(psi), abs(phi))
             if s > 0.0:
                 psi /= s
                 phi /= s
                 log_scale += math.log(s)
-        # psi after every step: row 0 of its prefix product times the block's start
-        below = (m[0, 0] * starts[:, :1] + m[0, 1] * starts[:, 1:] < 0.0).ravel()
+        v[:, -1] = psi, phi
+        span = width // 2
+        while span > 1:  # down: each 2*span tile's midpoint from its start and left half
+            left, start = m[..., span - 1::2 * span], v[:, :-1:2 * span]
+            v[:, span::2 * span] = left[:, 0] * start[0] + left[:, 1] * start[1]
+            span //= 2
+        v[0, 1::2] = m[0, 0, ::2] * v[0, :-1:2] + m[0, 1, ::2] * v[1, :-1:2]
+        below = v[0, 1:] < 0.0
         nodes += int(below[0] != negative) + int(np.count_nonzero(below[1:] != below[:-1]))
         negative = bool(below[-1])
     return psi, phi, log_scale, nodes
 
 
-def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]]:
-    """Break [_R_START, r_max] into (lo, hi, refined, m_eff) integration spans."""
+def _regions(problem: ShootingProblem) -> list[tuple[float, float, int, float]]:
+    """Break [_R_START, r_max] into (lo, hi, nsteps, m_eff) integration spans."""
     cuts = {_R_START, problem.r_max}
     if _INNER_EDGE < problem.r_max:
         cuts.add(_INNER_EDGE)
@@ -231,16 +238,19 @@ def _segments(problem: ShootingProblem) -> list[tuple[float, float, bool, float]
         mid = 0.5 * (lo + hi)
         inside = shell is not None and mid < shell
         m_eff = float(problem.m) if inside else problem.m + problem.alpha
-        refined = mid < _INNER_EDGE
-        out.append((lo, hi, refined, m_eff))
+        h = problem.h / _INNER_REFINE if mid < _INNER_EDGE else problem.h
+        out.append((lo, hi, max(1, int(math.ceil((hi - lo) / h - 1e-12))), m_eff))
     return out
 
 
 def shoot(problem: ShootingProblem, energy: float) -> tuple[float, int]:
     """(D(E), N(E)): the decay defect and the node count of psi on (0, r_max].
 
-    The only integration entry point: every region is stepped by block
-    prefix products of the RK4 propagators (see the module docstring).
+    The only integration entry point: every region is stepped by
+    ``_rk4_region`` on the propagator polynomials of
+    ``_propagator_coefficients`` (see the module docstring).  Their memo is
+    kept to the regions of this problem: a shot of another problem drops the
+    regions the two do not share.
     """
     if problem.shell_radius is None:
         k = abs(problem.m + problem.alpha)
@@ -258,9 +268,10 @@ def shoot(problem: ShootingProblem, energy: float) -> tuple[float, int]:
     phi /= scale
     nodes = 0
 
-    for lo, hi, refined, m_eff in _segments(problem):
-        h = problem.h / _INNER_REFINE if refined else problem.h
-        nsteps = max(1, int(math.ceil((hi - lo) / h - 1e-12)))
+    regions = _regions(problem)
+    for stale in _PROPAGATORS.keys() - set(regions):
+        _PROPAGATORS.pop(stale, None)
+    for lo, hi, nsteps, m_eff in regions:
         psi, phi, logs, nodes = _rk4_region(psi, phi, nodes, lo, hi, nsteps, m_eff,
                                             problem.sigma, energy)
         log_total += logs

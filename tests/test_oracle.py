@@ -11,6 +11,7 @@ import math
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import fluxtube._brent
@@ -226,12 +227,67 @@ def test_shoot_matches_the_scalar_rk4_loop(kwargs, monkeypatch):
         assert d == pytest.approx(d_ref, rel=1e-10), e
 
 
-def test_grid_memo_holds_one_problem():
-    # the inner regions of m = 0 and m = 1 differ: six regions for a memo of four
-    problems = [ShootingProblem(alpha=0.5, m=m, sigma=0.5, shell_radius=0.3) for m in (0, 1)]
+def test_propagator_memo_holds_one_problem():
+    # point flux m = 0, then m = 1: the memo keeps only the regions of the last
+    # problem shot (0.93 MB at r_max = 12), not those of both
+    problems = [ShootingProblem(alpha=0.5, m=m, sigma=0.5) for m in (0, 1)]
     first = [shoot(p, 1.3) for p in problems]
-    assert len(fluxtube.oracle._GRIDS) <= fluxtube.oracle._GRID_REGIONS
+    memo = fluxtube.oracle._PROPAGATORS
+    assert set(memo) == set(fluxtube.oracle._regions(problems[1]))
+    assert sum(coef.nbytes for coef in memo.values()) <= 2 ** 20
     assert [shoot(p, 1.3) for p in problems] == first
+
+
+def _rk4_step_columns(r, h, ma, c1):
+    """Reference: one classical RK4 step from r to r + h applied to the unit
+    starts (psi, phi) = (1, 0) and (0, 1), in floats of the step formula;
+    returns the propagator entries (m00, m01, m10, m11)."""
+    hh = 0.5 * h
+    h6 = h / 6.0
+    rh = r + hh
+    rf = r + h
+    w, wh, wf = (ma * ma / (x * x) + x * x + c1 for x in (r, rh, rf))
+    # (1, 0): q1 = w, p2 = 1
+    f2 = hh * w
+    q2 = -f2 / rh + wh
+    f3 = hh * q2
+    q3 = -f3 / rh + wh * (1.0 + hh * f2)
+    f4 = h * q3
+    q4 = -f4 / rf + wf * (1.0 + h * f3)
+    m00, m10 = 1.0 + h6 * (2.0 * f2 + 2.0 * f3 + f4), h6 * (w + 2.0 * q2 + 2.0 * q3 + q4)
+    # (0, 1): p2 = h/2
+    q1 = -1.0 / r
+    f2 = 1.0 + hh * q1
+    q2 = -f2 / rh + wh * hh
+    f3 = 1.0 + hh * q2
+    q3 = -f3 / rh + wh * (hh * f2)
+    f4 = 1.0 + h * q3
+    q4 = -f4 / rf + wf * (h * f3)
+    m01, m11 = h6 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4), 1.0 + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+    return m00, m01, m10, m11
+
+
+@pytest.mark.parametrize("sigma", [0.5, -0.5])
+def test_propagator_polynomials_match_the_rk4_step(sigma):
+    # inner regions at m_eff = 0 and 3.5, the shell region [0.05, 2.5] and
+    # the outer region [2.5, 16]
+    shell = ShootingProblem(alpha=3.5, m=0, sigma=sigma, shell_radius=2.5, r_max=16.0)
+    point = ShootingProblem(alpha=3.5, m=0, sigma=sigma, r_max=16.0)
+    regions = fluxtube.oracle._regions(shell) + fluxtube.oracle._regions(point)[:1]
+    assert [ma for *_, ma in regions] == [0.0, 0.0, 3.5, 3.5]
+    for r0, r1, nsteps, ma in regions:
+        k = fluxtube.oracle._propagator_coefficients(r0, r1, nsteps, ma)
+        h = (r1 - r0) / nsteps
+        r = r0 + np.arange(nsteps) * h
+        for energy in (-0.3, 1.7, 9.0):
+            c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
+            k2 = h ** 4 / 24.0 * c1 * c1  # the c1^2 term of m00 and m11
+            terms = [(k[0], k[1] * c1, k2), (k[2], k[3] * c1),
+                     (k[4], k[5] * c1, k[6] * c1 * c1), (k[7], k[8] * c1, k2)]
+            for entry, ref in zip(terms, _rk4_step_columns(r, h, ma, c1)):
+                # m10 crosses zero at the turning point: scale by the largest term
+                scale = np.max(np.abs(np.broadcast_arrays(*entry)), axis=0)
+                assert np.all(np.abs(sum(entry) - ref) <= 4e-15 * scale), (r0, ma, energy)
 
 
 def test_problem_validation():
