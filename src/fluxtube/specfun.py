@@ -8,16 +8,16 @@ through this module.
 
 The evaluation strategy for U follows the classical regime split:
 
-* ``a`` within 1e-9 of a nonpositive integer ``-n``: exact polynomial branch
+* ``a`` exactly a nonpositive integer ``-n``: polynomial branch
   U(-n, b, z) = (-1)^n n! L_n^{b-1}(z)   [DLMF 13.6.27]
-* small z (z <= 8): the two-M connection formula for non-integer b
-  [DLMF 13.2.42], or the logarithmic limit series with digamma terms for
-  integer b [DLMF 13.2.9]
+* small z (z <= 8): the connection formula [DLMF 13.2.42] summed uniformly in
+  b, the log series [DLMF 13.2.9] at integer b; for a > 1.5 and z > 1.5 at
+  a - ceil(a - 1.5), carried up by Miller's backward ratios of [DLMF 13.3.7]
 * large z (z > 50): the divergent asymptotic series in 1/z with optimal
   truncation [DLMF 13.7.3], accepted only when the smallest term certifies
   a relative error below 1e-9
 * everything else: the Laplace integral representation [DLMF 13.4.4]
-  on a 30-node Gauss-Laguerre rule for a > 0, extended to a <= 0 by the
+  on a 30-node Gauss-Laguerre rule for a >= 1, extended to a < 1 by the
   downward contiguous recurrence in a [DLMF 13.3.7], which is stable in
   that direction because U is the recessive solution as a -> +infinity.
 
@@ -52,8 +52,6 @@ __all__ = [
 SERIES_CAP = 2000
 #: Terminate a convergent series when |term| < SERIES_EPS * |partial sum|.
 SERIES_EPS = 1e-16
-#: Parameters within this distance of an integer are snapped onto it.
-SNAP_TOL = 1e-9
 
 # Branch thresholds for kummer_u (see module docstring).
 _Z_SMALL = 8.0
@@ -80,7 +78,7 @@ def _require_finite(name: str, a: float, b: float, z: float) -> None:
 
 
 def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0.5 and abs(x - round(x)) < SNAP_TOL and round(x) <= 0
+    return x <= 0.0 and x == round(x)
 
 
 def lgamma(x: float) -> float:
@@ -111,10 +109,13 @@ def gammafn(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """1/Gamma(x), entire in x: returns exactly 0.0 at nonpositive integers."""
-    if _is_nonpositive_int(x):
-        return 0.0
-    return gamma_sign(x) * math.exp(-math.lgamma(x))
+    """1/Gamma(x), entire in x: for x <= 0 the reflection (-1)^n sin(pi (x - n))
+    Gamma(1 - x) / pi, n the nearest integer, which is exactly 0.0 at x = -n."""
+    if x > 0.0:
+        return math.exp(-math.lgamma(x))
+    n = round(x)
+    r = math.sin(math.pi * (x - n)) * math.gamma(1.0 - x) / math.pi
+    return -r if n % 2 else r
 
 
 # Bernoulli-number coefficients of the asymptotic expansion
@@ -128,6 +129,8 @@ _PSI_ASYM = (
     691.0 / 32760.0,
     -1.0 / 12.0,
 )
+#: -B_{2k} / (2k (2k - 1)): the coefficients of Stirling's series for ln Gamma, negated.
+_STIRLING = tuple(c / (2 * k + 1) for k, c in enumerate(_PSI_ASYM))
 
 
 def digamma(x: float) -> float:
@@ -140,10 +143,8 @@ def digamma(x: float) -> float:
     if _is_nonpositive_int(x):
         raise PoleError(f"digamma pole at x={x!r}")
     if x < 0.0:
-        # reflection: psi(x) = psi(1-x) - pi*cot(pi*x); reduce the argument of
-        # cot to the fractional part for accuracy at large negative x.
-        frac = x - math.floor(x)
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * frac)
+        # reflection psi(x) = psi(1-x) - pi cot(pi x), cot taken at x - round(x)
+        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -155,6 +156,30 @@ def digamma(x: float) -> float:
         s += c * p
         p *= inv2
     return acc + math.log(x) - 0.5 / x + s
+
+
+def _rgamma_diff(x: float, h: float) -> float:
+    """(1/Gamma(x - h) - 1/Gamma(x)) / h for real x and |h| <= 1; psi(x)/Gamma(x) at h = 0.
+
+    1/Gamma(x) = (x)_N / Gamma(y), y = x + N >= 10, where Stirling's series gives
+    lh = [ln Gamma(y) - ln Gamma(y - h)] / h as a sum of O(1) terms.
+    """
+    p, q, dp, y = 1.0, 1.0, 0.0, x  # (x)_N, (x - h)_N, ((x - h)_N - (x)_N) / h, x + N
+    while y < 10.0:
+        dp = dp * (y - h) - p
+        p *= y
+        q *= y - h
+        y += 1.0
+    t, s = 1.0 / y, 1.0 / (y - h)
+    # (y^-m - (y-h)^-m) / h = -t s e with e = sum_i t^(m-1-i) s^i, and sm = s^m
+    tail, e, sm = 0.0, 1.0, s
+    for c in _STIRLING:
+        tail += c * e
+        e = t * t * e + sm * (t + s)
+        sm *= s * s
+    lh = math.log(y) - 1.0 - (y - h - 0.5) * (math.log1p(-h * t) / h if h else -t) + t * s * tail
+    # (1/Gamma(y - h) - 1/Gamma(y)) / h = expm1(h lh) / (h Gamma(y))
+    return rgamma(y) * (q * (math.expm1(h * lh) / h if h else lh) + dp)
 
 
 def _kummer_m_series(a: float, b: float, z: float) -> tuple[float, float]:
@@ -192,7 +217,7 @@ def kummer_m(a: float, b: float, z: float) -> float:
     silent partial sum.  Non-finite arguments raise DomainError.
     """
     _require_finite("kummer_m", a, b, z)
-    if abs(b - round(b)) < SNAP_TOL and round(b) <= 0:
+    if _is_nonpositive_int(b):
         raise PoleError(f"kummer_m pole: b={b!r} is a nonpositive integer")
     if z == 0.0:
         return 1.0
@@ -206,48 +231,43 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return total
 
 
-def _u_connection(a: float, b: float, z: float) -> float:
-    """U via the two-M connection formula; b must be non-integer [DLMF 13.2.42]."""
-    c1 = gammafn(1.0 - b) * rgamma(a - b + 1.0)
-    c2 = gammafn(b - 1.0) * rgamma(a)
-    t1 = c1 * kummer_m(a, b, z) if c1 != 0.0 else 0.0
-    t2 = c2 * z ** (1.0 - b) * kummer_m(a - b + 1.0, 2.0 - b, z) if c2 != 0.0 else 0.0
-    return t1 + t2
+def _u_series(a: float, b: float, z: float) -> float:
+    """U for b >= 1 from the two Kummer series of DLMF 13.2.42, uniform in b.
 
-
-def _u_log_series(a: float, n0: int, z: float) -> float:
-    """U(a, n0+1, z) for integer b = n0+1 >= 1 via the logarithmic limit series.
-
-    DLMF 13.2.9: the z^{1-b} branch of the connection formula degenerates at
-    integer b; its surviving finite part plus a log-weighted Kummer series
-    replace it.  ``a`` must not be a nonpositive integer (callers snap those
-    onto the polynomial branch first).
+    With b = n + 1 + eps, n the nearest integer, the first n terms of the
+    z^(1-b) series stand alone; each later one, X_j, pairs with the term Y_j of
+    M(a, b, z).  D_j = (X_j - Y_j) / eps starts from divided differences of z^-eps,
+    1/Gamma and (1+eps)_n, and runs D_{j+1} = x_j D_j + Y_j d_j with x_j, y_j the
+    term ratios and d_j = (x_j - y_j) / eps in closed form (Temme, Numer. Math. 41,
+    1983, 63-82).  At eps = 0 this is the log series [DLMF 13.2.9].
     """
-    lz = math.log(z)
-    pref_log = (-1.0) ** (n0 + 1) * rgamma(a - n0) / math.factorial(n0)
-    total = 0.0
-    if pref_log != 0.0:
-        s = 0.0
-        coef = 1.0  # (a)_k z^k / ((n0+1)_k k!)
-        for k in range(SERIES_CAP):
-            term = coef * (lz + digamma(a + k) - digamma(1.0 + k) - digamma(n0 + 1.0 + k))
-            s += term
-            if abs(term) <= SERIES_EPS * abs(s) and k > 2:
-                break
-            coef *= (a + k) * z / ((n0 + 1.0 + k) * (k + 1.0))
-        else:
-            raise ConvergenceError(f"kummer_u log series cap at a={a}, b={n0 + 1}, z={z}")
-        total += pref_log * s
-    if n0 > 0:
-        # truncated M(a-n0, 1-n0, z): only the first n0 terms exist.
-        s2 = 0.0
-        coef = 1.0  # (a-n0)_k z^k / ((1-n0)_k k!)
-        for k in range(n0):
-            s2 += coef
-            if k < n0 - 1:
-                coef *= (a - n0 + k) * z / ((1.0 - n0 + k) * (k + 1.0))
-        total += math.factorial(n0 - 1) * rgamma(a) * z ** (-n0) * s2
-    return total
+    n = round(b - 1.0)
+    eps = b - 1.0 - n
+    ra = rgamma(a)
+    ez = math.expm1(-eps * math.log(z)) / eps if eps else -math.log(z)  # (z^-eps - 1) / eps
+    # the sum over k < n, (a-b+1)_k, (2-b)_k k! / z^k and ((1+eps)_k - k!) / eps
+    finite, pn, den, dq = 0.0, 1.0, 1.0, 0.0
+    for k in range(n):
+        finite += pn / den
+        pn *= a - b + 1.0 + k
+        den *= (2.0 - b + k) * (k + 1.0) / z
+        dq = dq * (1.0 + eps + k) + math.factorial(k)
+    if n:
+        finite *= gammafn(b - 1.0) * ra * z ** (1.0 - b)
+    rb = rgamma(b)
+    d = pn * (ra * (ez * rgamma(1.0 - eps) + 2.0 * _rgamma_diff(1.0 + eps, 2.0 * eps) + rb * dq)
+              / math.factorial(n) - _rgamma_diff(a, eps) * rb)
+    y, total = rgamma(a - b + 1.0) * rb, d  # Y_0 and the sum of the D_j
+    for j in range(SERIES_CAP):
+        p, q = j + 1.0, n + j + 1.0
+        w = z / ((p - eps) * q * (q + eps) * p)
+        d = (a - eps + j) * (q + eps) * p * w * d + ((a + j) * (p + q) - p * (q + eps)) * w * y
+        y *= (a + j) * (p - eps) * q * w
+        total += d
+        if abs(d) <= SERIES_EPS * abs(total):
+            pref = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+            return finite + (-pref if n % 2 else pref) * total
+    raise ConvergenceError(f"kummer_u series cap at a={a}, b={b}, z={z}")
 
 
 def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, bool]:
@@ -280,16 +300,16 @@ def _u_laplace(a: float, b: float, z: float) -> float:
     U(a,b,z) = z^-a / Gamma(a) * int_0^inf e^-u u^{a-1} (1 + u/z)^{b-a-1} du
 
     after u = z t; e^-u u^{a-1} is the Gauss-Laguerre weight with gamma = a-1.
-    For a <= 0 one rule at frac = a - floor(a) gives both seeds U(frac) and
-    U(frac + 1) of the downward recurrence
+    For a < 1 one rule at base = a - floor(a) + 1 in [1, 2) gives both seeds
+    U(base) and U(base + 1) of the downward recurrence
     U(a-1) = (2a - b + z) U(a) - a (a - b + 1) U(a+1)   [DLMF 13.3.7],
     which is stable because U is recessive as a -> +inf.
     """
-    base = a if a > 0.0 else a - math.floor(a)  # integer a <= 0 never gets here
+    base = a if a >= 1.0 else a - math.floor(a) + 1.0
     nodes, weights = gauss_laguerre(_LAPLACE_NODES, base - 1.0)
     q = 1.0 + nodes / z
     u_mid = z ** (-base) * rgamma(base) * float(np.dot(weights, q ** (b - base - 1.0)))
-    if a <= 0.0:
+    if a < 1.0:
         u_hi = (z ** (-base - 1.0) * rgamma(base + 1.0)
                 * float(np.dot(weights, nodes * q ** (b - base - 2.0))))
         ac = base
@@ -312,19 +332,9 @@ def kummer_u(a: float, b: float, z: float) -> float:
 
         U(-n, b, z) = (-1)^n n! L_n^{b-1}(z).
 
-    Parameters within 1e-9 of that lattice are snapped onto it (at small z
-    the snapped value can differ from U(a) by ~1e-6 relative).
-
-    Accuracy, audited against mpmath.hyperu for a in [-6.3, 6.7], b in
-    [1, 6] and z in [1e-3, 200] (b < 1 after the lift to a-b+1, 2-b): below
-    1e-8 relative away from the zeros of U, except for two cancellation gaps
-    on the small-z branch (z <= 8).  (1) a > 1.5 with z > 1.5: up to 4.0e-3
-    at (a, b, z) = (6.7, 1.25, 7.9), though not everywhere, (3.0, 2.5, 5.0)
-    gives 1.8e-10.  (2) b within 1e-3 of an integer but outside the snap:
-    the connection formula cancels, and the result can be pure noise,
-    e.g. -1.07e-4 at (4.513, 1 + 4.66e-7, 7.593) where U = 1.79e-5
-    (1.2e-2 relative at (1.35, 1 + 1.6e-8, 7.8), 3e-6 for a <= 0).
-    Shell eigenvalues avoid gap (1): their roots sit at a <= 0.
+    Accuracy, audited against mpmath.hyperu for a in [-6.3, 6.7], b in [1, 6]
+    (b < 1 after the lift to a-b+1, 2-b) and z in [1e-3, 200], next to integer
+    a and b too: below 1e-8 relative away from the zeros of U.
 
     Raises
     ------
@@ -340,19 +350,24 @@ def kummer_u(a: float, b: float, z: float) -> float:
     if b < 1.0:
         # DLMF 13.2.40 lifts b onto [1, inf): U(a,b,z) = z^{1-b} U(a-b+1, 2-b, z)
         return z ** (1.0 - b) * kummer_u(a - b + 1.0, 2.0 - b, z)
-    na = round(a)
-    if abs(a - na) < SNAP_TOL and na <= 0:
-        n = int(-na)
+    if _is_nonpositive_int(a):
+        n = int(-a)
         return (-1.0) ** n * math.factorial(n) * float(laguerre(n, b - 1.0, z))
     if z > _Z_ASYM:
         val, ok = _u_asymptotic(a, b, z)
         if ok:
             return val
     if z <= _Z_SMALL:
-        nb = round(b)
-        if abs(b - nb) < SNAP_TOL:
-            return _u_log_series(a, int(nb) - 1, z)
-        return _u_connection(a, b, z)
+        if a <= 1.5 or z <= 1.5:
+            return _u_series(a, b, z)
+        k = math.ceil(a - 1.5)
+        u, r = _u_series(a - k, b, z), 0.0
+        for i in range(k + 40, -1, -1):
+            c = a - k + i
+            r = 1.0 / (2.0 * c + 2.0 - b + z - (c + 1.0) * (c + 2.0 - b) * r)
+            if i < k:
+                u *= r
+        return u
     return _u_laplace(a, b, z)
 
 

@@ -118,27 +118,30 @@ def test_no_spurious_sign_changes_between_roots():
         assert flips == 0
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: W jumps at the 1e-9 lattice snap "
-                   "of kummer_u, and brentq converges on the jump (small-z gap item)")
-def test_narrow_shell_roots_next_to_the_lattice_snap():
+@pytest.mark.parametrize("model, want, tol", [
     # mpmath (40 digits, hyp1f1 and hyperu in the same cross form) puts these
-    # roots 1.78e-12 and 6.23e-12 above -1 and -2; find_xi_roots returns the
-    # snap edge -n + 1e-9 after 65 iterations, with a residual of 0.4
-    roots = find_xi_roots(TubeModel(0.08, 2.0, 3, -0.5))
-    want = (-0.99999999999821754579, -1.9999999999937696781)
-    assert [abs(r.xi - x) <= 1e-12 for r, x in zip(roots[1:], want)] == [True, True]
+    # roots 1.78e-12 and 6.23e-12 above -1 and -2
+    (TubeModel(0.08, 2.0, 3, -0.5), {1: -0.99999999999821754579, 2: -1.9999999999937696781},
+     1e-12),
+    (TubeModel(0.05, -2.3, -2, -0.5), {1: -1.0}, 1e-11),
+    (TubeModel(0.05, 1.3, 3, 0.5), {1: -1.0, 2: -2.0}, 1e-11),
+])
+def test_narrow_shell_roots_next_to_the_lattice_snap(model, want, tol):
+    # W must stay continuous next to the lattice xi = -n: any snap of a onto
+    # -n makes it jump, and brentq then returns the edge of the snap
+    roots = find_xi_roots(model)
+    assert {n: abs(roots[n].xi - x) <= tol for n, x in want.items()} == dict.fromkeys(want, True)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: rgamma snaps to 0 within 1e-9 of its "
-                   "poles, so W is flat around E = 0 and brentq stops at the edge of the flat "
-                   "part (small-z gap item)")
-@pytest.mark.parametrize("radius, alpha, m", [(1.0, 0.4, 0), (0.3, 0.9, 0), (0.3, 2.6, -2)])
+@pytest.mark.parametrize("radius, alpha, m", [
+    (0.05, 0.4, 0), (0.3, 0.4, 0), (1.0, 0.4, 0), (0.05, 0.9, 0), (0.3, 0.9, 0),
+    (1.0, 0.9, 0), (0.05, 2.6, -2), (0.3, 2.6, -2), (1.0, 2.6, -2), (1.0, 2.6, 0)])
 def test_pinned_zero_mode_stays_at_zero(radius, alpha, m):
-    # the shell keeps these zero modes at E = 0 exactly; find_xi_roots returns
-    # E = +1.0e-9, +1.0e-9 and -1.0e-9 after 57, 31 and 59 Brent iterations,
-    # with residuals of 1e-9 to 8e-11 that flag nothing
-    roots = find_xi_roots(TubeModel(radius, alpha, m, -0.5), n_max=2)
-    assert abs(roots[0].energy) <= 1e-12
+    # the shell keeps these zero modes at E = 0 exactly; W is linear through
+    # E = 0, so brentq lands on it in a few iterations unless W is flat there
+    root = find_xi_roots(TubeModel(radius, alpha, m, -0.5), n_max=2)[0]
+    assert abs(root.energy) <= 1e-12
+    assert root.iterations <= 5
 
 
 def test_inside_solution_reduces_to_gaussian_at_xi_in_zero():

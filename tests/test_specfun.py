@@ -93,6 +93,9 @@ DIGAMMA_REFERENCE = [
     (-0.3, 2.1133097796353989),
     (-5.7, -0.45687230493238279),
     (-20.25, 6.1742356336144838),
+    # next to a pole, on either side
+    (-4.0 + 1e-12, -999911107318.76386457),
+    (-4.0 - 1e-12, 999911107321.77609991),
 ]
 
 LGAMMA_REFERENCE = [
@@ -192,6 +195,17 @@ def test_rgamma_vanishes_at_poles_and_inverts_elsewhere():
     assert rgamma(-3.0) == 0.0
     for x in (0.5, 2.0, -0.5, -2.5):
         assert rgamma(x) * gammafn(x) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_rgamma_is_continuous_through_its_zeros(n):
+    # 1/Gamma(-n + d) = (-1)^n n! d (1 + O(d)), with exactly 0.0 at d = 0
+    assert rgamma(-float(n)) == 0.0
+    for d in (1e-15, 1e-12, 1e-9, 1e-6):
+        for x in (-n + d, -n - d):
+            step = x + n  # the offset as stored
+            slope = (-1.0) ** n * math.factorial(n)
+            assert rgamma(x) / step == pytest.approx(slope, rel=1e-5)
 
 
 def test_pole_and_domain_errors():
