@@ -308,7 +308,7 @@ def _verify_specfun(scale):
         worst = max(worst, abs(u - ref) / max(abs(ref), 1e-300))
     yield "u_laguerre_identity", worst, 1e-12 * scale
 
-    # contiguous recurrence in a (exercises the integral/recurrence regime)
+    # contiguous recurrence in a, across Miller's recurrence route at 8 < z <= 50
     worst = 0.0
     for a, b, z in [(1.3, 1.5, 12.0), (2.7, 2.2, 25.0), (0.9, 1.1, 40.0),
                     (1.6, 2.5, 9.0)]:

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from ._brent import brentq
-from .specfun import kummer_m, kummer_u
+from .specfun import kummer_m_pair, kummer_u
 
 __all__ = [
     "TubeModel",
@@ -90,12 +90,10 @@ def inside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, f
     b = am + 1.0
     a = 0.5 * (am + model.m + 1.0 + 2.0 * model.sigma) - energy
     z = r * r
-    m0 = kummer_m(a, b, z)
-    m1 = kummer_m(a + 1.0, b + 1.0, z)
+    m0, dm = kummer_m_pair(a, b, z)
     ez = math.exp(-0.5 * z)
     val = r ** am * ez * m0
-    der = ez * (am * r ** (am - 1.0) * m0
-                + r ** (am + 1.0) * (2.0 * (a / b) * m1 - m0))
+    der = ez * (am * r ** (am - 1.0) * m0 + r ** (am + 1.0) * (2.0 * dm - m0))
     return val, der
 
 

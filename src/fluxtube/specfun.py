@@ -11,18 +11,20 @@ The evaluation strategy for U follows the classical regime split:
 * ``a`` exactly a nonpositive integer ``-n``: polynomial branch
   U(-n, b, z) = (-1)^n n! L_n^{b-1}(z)   [DLMF 13.6.27]
 * small z (z <= 8): the connection formula [DLMF 13.2.42] summed uniformly in
-  b, the log series [DLMF 13.2.9] at integer b; for a > 1.5 and z > 1.5 at
-  a - ceil(a - 1.5), carried up by Miller's backward ratios of [DLMF 13.3.7]
+  b, which is the log series [DLMF 13.2.9] at integer b; for a > 1.5 and
+  z > 1.5 at a - ceil(a - 1.5), carried up by Miller's backward ratios of
+  [DLMF 13.3.7]
 * large z (z > 50): the divergent asymptotic series in 1/z with optimal
   truncation [DLMF 13.7.3], accepted only when the smallest term certifies
   a relative error below 1e-9
-* everything else: the Laplace integral representation [DLMF 13.4.4]
-  on a 30-node Gauss-Laguerre rule for a >= 1, extended to a < 1 by the
-  downward contiguous recurrence in a [DLMF 13.3.7], which is stable in
-  that direction because U is the recessive solution as a -> +infinity.
+* everything else: Miller's backward recurrence in a [DLMF 13.3.7] at
+  b0 = b - floor(b) + 1 in [1, 2), normalized by
+  sum_n (a)_n (a-b+1)_n / n! U(a+n, b, z) = z^-a (Temme, Numer. Math. 41,
+  1983, 63-82), then carried up in b by [DLMF 13.3.10] and [DLMF 13.3.8],
+  which is stable in that direction because U is dominant as b -> infinity.
 
-All functions are pure and thread-safe; the quadrature rule cache is
-read-only after construction.
+All functions are pure and thread-safe; their caches (Gauss-Laguerre rules,
+the (b, z) head of the small-z series) hold read-only values.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "rgamma",
     "digamma",
     "kummer_m",
+    "kummer_m_pair",
     "kummer_u",
     "laguerre",
     "laguerre_deriv",
@@ -56,8 +59,6 @@ SERIES_EPS = 1e-16
 # Branch thresholds for kummer_u (see module docstring).
 _Z_SMALL = 8.0
 _Z_ASYM = 50.0
-#: Node count of the Gauss-Laguerre rule behind the Laplace route of kummer_u.
-_LAPLACE_NODES = 30
 
 
 class DomainError(ValueError):
@@ -182,17 +183,21 @@ def _rgamma_diff(x: float, h: float) -> float:
     return rgamma(y) * (q * (math.expm1(h * lh) / h if h else lh) + dp)
 
 
-def _kummer_m_series(a: float, b: float, z: float) -> tuple[float, float]:
-    """Direct Taylor sum of M; returns (sum, sum of |terms|) for cancellation audit."""
+def _kummer_m_series(a: float, b: float, z: float) -> tuple[float, float, float]:
+    """Direct Taylor sum of M: returns (M, z dM/dz, sum of |terms|), the last
+    for the cancellation audit; z dM/dz is the sum of k t_k over the terms t_k."""
     total = 1.0
+    zdm = 0.0
     absum = 1.0
     term = 1.0
     for k in range(SERIES_CAP):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        absum += abs(term)
-        if abs(term) <= SERIES_EPS * abs(total):
-            return total, absum
+        zdm += (k + 1.0) * term
+        mag = abs(term)
+        absum += mag
+        if mag <= SERIES_EPS * abs(total):
+            return total, zdm, absum
     raise ConvergenceError(f"kummer_m series cap at a={a}, b={b}, z={z}")
 
 
@@ -214,21 +219,64 @@ def kummer_m(a: float, b: float, z: float) -> float:
     -----
     Designed for |z| <= 400 at ~1e-10 relative accuracy. The series cap is
     2000 terms; hitting it raises ConvergenceError rather than returning a
-    silent partial sum.  Non-finite arguments raise DomainError.
+    silent partial sum.  Non-finite arguments raise DomainError.  This is
+    the first element of ``kummer_m_pair``.
+    """
+    return kummer_m_pair(a, b, z)[0]
+
+
+def kummer_m_pair(a: float, b: float, z: float) -> tuple[float, float]:
+    """(M(a, b, z), dM/dz) from one Taylor sum; dM/dz = (a/b) M(a+1, b+1, z).
+
+    Takes the same branches as ``kummer_m`` and returns its value as the
+    first element.  Through the Kummer transformation the pair is
+    (e^z m, e^z (m - m')), with m and m' = dm/dw the pair of M(b - a, b, w)
+    at w = -z.
     """
     _require_finite("kummer_m", a, b, z)
     if _is_nonpositive_int(b):
         raise PoleError(f"kummer_m pole: b={b!r} is a nonpositive integer")
     if z == 0.0:
-        return 1.0
+        return 1.0, a / b
     if z < -30.0:
-        return math.exp(z) * kummer_m(b - a, b, -z)
-    total, absum = _kummer_m_series(a, b, z)
+        return _kummer_reflected(a, b, z)
+    total, zdm, absum = _kummer_m_series(a, b, z)
     if z < 0.0 and absum > 1e6 * max(abs(total), 1e-300):
         # alternating sum lost too many digits; the reflected series is
         # single-signed in its tail and conditions well.
-        return math.exp(z) * kummer_m(b - a, b, -z)
-    return total
+        return _kummer_reflected(a, b, z)
+    return total, zdm / z
+
+
+def _kummer_reflected(a: float, b: float, z: float) -> tuple[float, float]:
+    m, dm = kummer_m_pair(b - a, b, -z)
+    ez = math.exp(z)
+    return ez * m, ez * (m - dm)
+
+
+@lru_cache(maxsize=8)
+def _u_series_head(b: float, z: float) -> tuple:
+    """The parts of ``_u_series`` that depend on b and z alone.
+
+    Returns n, eps, the k < n denominators (2-b)_k k! / z^k, Gamma(b-1) and
+    z^(1-b), 1/Gamma(b), the a-free part of D_0 with n!, and the signed
+    prefactor (-1)^n pi eps / sin(pi eps).  A channel of the shell problem
+    asks for two keys, b and b + 1, at one z.
+    """
+    n = round(b - 1.0)
+    eps = b - 1.0 - n
+    ez = math.expm1(-eps * math.log(z)) / eps if eps else -math.log(z)  # (z^-eps - 1) / eps
+    # (2-b)_k k! / z^k and ((1+eps)_k - k!) / eps for k < n
+    dens, den, dq = [], 1.0, 0.0
+    for k in range(n):
+        dens.append(den)
+        den *= (2.0 - b + k) * (k + 1.0) / z
+        dq = dq * (1.0 + eps + k) + math.factorial(k)
+    gb, zb = (gammafn(b - 1.0), z ** (1.0 - b)) if n else (1.0, 1.0)
+    rb = rgamma(b)
+    d0 = ez * rgamma(1.0 - eps) + 2.0 * _rgamma_diff(1.0 + eps, 2.0 * eps) + rb * dq
+    pref = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+    return n, eps, tuple(dens), gb, zb, rb, d0, float(math.factorial(n)), -pref if n % 2 else pref
 
 
 def _u_series(a: float, b: float, z: float) -> float:
@@ -241,22 +289,16 @@ def _u_series(a: float, b: float, z: float) -> float:
     term ratios and d_j = (x_j - y_j) / eps in closed form (Temme, Numer. Math. 41,
     1983, 63-82).  At eps = 0 this is the log series [DLMF 13.2.9].
     """
-    n = round(b - 1.0)
-    eps = b - 1.0 - n
+    n, eps, dens, gb, zb, rb, d0, nfact, pref = _u_series_head(b, z)
     ra = rgamma(a)
-    ez = math.expm1(-eps * math.log(z)) / eps if eps else -math.log(z)  # (z^-eps - 1) / eps
-    # the sum over k < n, (a-b+1)_k, (2-b)_k k! / z^k and ((1+eps)_k - k!) / eps
-    finite, pn, den, dq = 0.0, 1.0, 1.0, 0.0
-    for k in range(n):
+    # the sum over k < n of (a-b+1)_k / ((2-b)_k k! / z^k)
+    finite, pn = 0.0, 1.0
+    for k, den in enumerate(dens):
         finite += pn / den
         pn *= a - b + 1.0 + k
-        den *= (2.0 - b + k) * (k + 1.0) / z
-        dq = dq * (1.0 + eps + k) + math.factorial(k)
     if n:
-        finite *= gammafn(b - 1.0) * ra * z ** (1.0 - b)
-    rb = rgamma(b)
-    d = pn * (ra * (ez * rgamma(1.0 - eps) + 2.0 * _rgamma_diff(1.0 + eps, 2.0 * eps) + rb * dq)
-              / math.factorial(n) - _rgamma_diff(a, eps) * rb)
+        finite *= gb * ra * zb
+    d = pn * (ra * d0 / nfact - _rgamma_diff(a, eps) * rb)
     y, total = rgamma(a - b + 1.0) * rb, d  # Y_0 and the sum of the D_j
     for j in range(SERIES_CAP):
         p, q = j + 1.0, n + j + 1.0
@@ -265,8 +307,7 @@ def _u_series(a: float, b: float, z: float) -> float:
         y *= (a + j) * (p - eps) * q * w
         total += d
         if abs(d) <= SERIES_EPS * abs(total):
-            pref = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
-            return finite + (-pref if n % 2 else pref) * total
+            return finite + pref * total
     raise ConvergenceError(f"kummer_u series cap at a={a}, b={b}, z={z}")
 
 
@@ -294,32 +335,57 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, bool]:
     return z ** (-a) * s, ok
 
 
-def _u_laplace(a: float, b: float, z: float) -> float:
-    """Laplace integral for U [DLMF 13.4.4], extended to a <= 0 by recurrence:
+def _miller_height(a: float, z: float) -> int:
+    """Steps above a (above a - ceil(a) for a <= 0) at which Miller's backward
+    recurrence in a starts.
 
-    U(a,b,z) = z^-a / Gamma(a) * int_0^inf e^-u u^{a-1} (1 + u/z)^{b-a-1} du
-
-    after u = z t; e^-u u^{a-1} is the Gauss-Laguerre weight with gamma = a-1.
-    For a < 1 one rule at base = a - floor(a) + 1 in [1, 2) gives both seeds
-    U(base) and U(base + 1) of the downward recurrence
-    U(a-1) = (2a - b + z) U(a) - a (a - b + 1) U(a+1)   [DLMF 13.3.7],
-    which is stable because U is recessive as a -> +inf.
+    Started at a + N, the ratios' start error falls like
+    exp(-4 (sqrt((a + N) z) - sqrt(a z))), and the normalization sum of
+    ``_u_miller`` has a tail like exp(-2 sqrt(N z)) times a power of N; both
+    call for more steps at small z and large a.
     """
-    base = a if a >= 1.0 else a - math.floor(a) + 1.0
-    nodes, weights = gauss_laguerre(_LAPLACE_NODES, base - 1.0)
-    q = 1.0 + nodes / z
-    u_mid = z ** (-base) * rgamma(base) * float(np.dot(weights, q ** (b - base - 1.0)))
-    if a < 1.0:
-        u_hi = (z ** (-base - 1.0) * rgamma(base + 1.0)
-                * float(np.dot(weights, nodes * q ** (b - base - 2.0))))
-        ac = base
-        for _ in range(int(round(base - a))):
-            u_lo = (2.0 * ac - b + z) * u_mid - ac * (ac - b + 1.0) * u_hi
-            u_hi, u_mid = u_mid, u_lo
-            ac -= 1.0
-    if not math.isfinite(u_mid):
-        raise ConvergenceError(f"kummer_u integral route failed at a={a}, b={b}, z={z}")
-    return u_mid
+    return int(600.0 / z) + 20 + int(4.0 * math.sqrt(max(a, 0.0) * 600.0 / z))
+
+
+def _u_miller(a: float, b: float, z: float) -> float:
+    """U for b >= 1 by Miller's backward recurrence in a [DLMF 13.3.7].
+
+    At b0 = b - floor(b) + 1 in [1, 2) the recurrence
+    U(c-1) = (2c - b0 + z) U(c) - c (c - b0 + 1) U(c+1) runs down from
+    ``_miller_height`` steps above the larger of a and a' = a - ceil(a) to
+    the base a - max(ceil(a), 1), which is stable because U is the recessive
+    solution as c -> +infinity.  Down to a' in (-1, 0] the same pass sums
+    sum_n (a')_n (a'-b0+1)_n / n! U(a'+n, b0, z) = z^-a' (DLMF 13.4.4 and
+    the binomial series; Temme, Numer. Math. 41, 1983), which fixes the
+    scale; started far below 0 that sum would cancel.  The pass reads
+    U(a-1, b0) and U(a, b0); z U(a, b0+1) = (b0 - a) U(a, b0) + U(a-1, b0)
+    [DLMF 13.3.10] gives the next b, and [DLMF 13.3.8] carries U up to b,
+    stably, as U is dominant as b -> infinity.  Its dominant part carries a
+    factor 1/Gamma(a), so next to a = -n at large b the steps in b lose
+    digits.
+    """
+    k = max(math.ceil(a), 1)
+    base, b0 = a - k, b - (math.floor(b) - 1)
+    n0 = k - math.ceil(a)  # the index of a'
+    u_hi, u, s = 0.0, 1.0, 1.0  # f_{n+1}, f_n and the normalization sum from n up
+    ua = ua1 = 0.0  # f_k and f_{k-1}: U(a, b0) and U(a-1, b0), unscaled
+    for n in range(max(k, n0) + _miller_height(a, z), 0, -1):
+        c = base + n
+        u_hi, u = u, (2.0 * c - b0 + z) * u - c * (c - b0 + 1.0) * u_hi
+        if n > n0:
+            s = u + (c - 1.0) * (c - b0) / (n - n0) * s
+        if n == k:
+            ua, ua1 = u_hi, u
+        if abs(u) > 1e250:
+            u_hi, u, s, ua, ua1 = u_hi * 1e-250, u * 1e-250, s * 1e-250, ua * 1e-250, ua1 * 1e-250
+    lo, hi = ua, ((b0 - a) * ua + ua1) / z  # U(a, b0), U(a, b0 + 1)
+    for i in range(math.floor(b) - 1):
+        c = b0 + 1.0 + i
+        lo, hi = hi, ((c + z - 1.0) * hi - (c - a - 1.0) * lo) / z
+    val = lo * z ** -(base + n0) / s if s else math.inf
+    if not math.isfinite(val):
+        raise ConvergenceError(f"kummer_u recurrence route failed at a={a}, b={b}, z={z}")
+    return val
 
 
 def kummer_u(a: float, b: float, z: float) -> float:
@@ -334,15 +400,18 @@ def kummer_u(a: float, b: float, z: float) -> float:
 
     Accuracy, audited against mpmath.hyperu for a in [-6.3, 6.7], b in [1, 6]
     (b < 1 after the lift to a-b+1, 2-b) and z in [1e-3, 200], next to integer
-    a and b too: below 1e-8 relative away from the zeros of U.
+    a and b too: below 1e-8 relative away from the zeros of U.  With a at
+    least 0.02 off an integer, the same holds for a in [6.7, 40] at
+    1.5 < z <= 50 (b in [1, 6]) and for b in [6, 40] at 8 < z <= 50
+    (a in [-6.3, 6.7]).
 
     Raises
     ------
     DomainError
         If ``z <= 0`` or any argument is not finite.
     ConvergenceError
-        If an internal series fails to reach tolerance or the Laplace
-        integral is not finite.
+        If an internal series fails to reach tolerance or the recurrence
+        route overflows (large b at large z).
     """
     _require_finite("kummer_u", a, b, z)
     if z <= 0.0:
@@ -362,13 +431,13 @@ def kummer_u(a: float, b: float, z: float) -> float:
             return _u_series(a, b, z)
         k = math.ceil(a - 1.5)
         u, r = _u_series(a - k, b, z), 0.0
-        for i in range(k + 40, -1, -1):
+        for i in range(k + _miller_height(a, z), -1, -1):
             c = a - k + i
             r = 1.0 / (2.0 * c + 2.0 - b + z - (c + 1.0) * (c + 2.0 - b) * r)
             if i < k:
                 u *= r
         return u
-    return _u_laplace(a, b, z)
+    return _u_miller(a, b, z)
 
 
 def laguerre(n: int, a: float, z):
@@ -418,11 +487,10 @@ def gauss_laguerre(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     Golub–Welsch (Math. Comp. 23, 1969) on the symmetric tridiagonal
     Jacobi matrix of the L^{(gamma)} family: diagonal 2k + gamma + 1,
     off-diagonal sqrt(k (k + gamma)).  ``numpy.linalg.eigh`` diagonalizes
-    it as a dense matrix, reading its lower triangle; at the 30 nodes of
-    the Laplace route that costs the same as a tridiagonal solver.  Exact
-    for z^gamma e^-z * (polynomial of degree <= 2n - 1); requires
-    gamma > -1 for integrability.  The Laplace route of ``kummer_u`` calls
-    it too, once per evaluation.
+    it as a dense matrix, reading its lower triangle; at the few dozen
+    nodes the package asks for that costs the same as a tridiagonal
+    solver.  Exact for z^gamma e^-z * (polynomial of degree <= 2n - 1);
+    requires gamma > -1 for integrability.
 
     Returns read-only (nodes, weights) arrays; results are cached by
     (n, gamma), so do not mutate them.

@@ -6,9 +6,10 @@ Reference values were produced once with
 
 and pasted here, so the tests never import the library they are checking
 against at runtime.  The U grid is chosen to force every internal branch:
-the two-M connection formula, the integer-b logarithmic series, the Laplace
-integral (a > 0), the downward recurrence (a <= 0), the large-z asymptotic
-series, and the b < 1 lift.
+the small-z series at non-integer and at integer b, Miller's recurrence in
+a at 8 < z <= 50 (a > 0 and a <= 0), the large-z asymptotic series, and the
+b < 1 lift.  The M grid with dM/dz runs the direct sum and both routes to
+the Kummer transformation (z < -30, and a cancelling sum at -30 <= z < 0).
 """
 
 import math
@@ -19,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 
+from fluxtube.regularization import TubeModel, find_xi_roots
 from fluxtube.specfun import (
     ConvergenceError,
     DomainError,
@@ -28,6 +30,7 @@ from fluxtube.specfun import (
     gammafn,
     gauss_laguerre,
     kummer_m,
+    kummer_m_pair,
     kummer_u,
     laguerre,
     laguerre_deriv,
@@ -37,26 +40,26 @@ from fluxtube.specfun import (
 
 # (a, b, z, U(a,b,z)) — branch noted per block
 U_REFERENCE = [
-    # z <= 8, non-integer b: two-M connection formula
+    # z <= 8, non-integer b: the small-z series
     (0.3, 1.5, 0.5, 1.3237376507795524),
     (-0.7, 2.3, 3.0, 1.1004113327870426),
     (1.7, 1.25, 7.5, 0.024936630643326486),
     (0.37, 1.5, 0.0001, 74.162472433989319),
     (-0.6, 2.2, 0.001, -996.11044051028896),
     (2.4, 3.8, 0.02, 77490.567870763976),
-    # z <= 8, integer b: logarithmic limit series
+    # z <= 8, integer b: the same series at eps = 0, the log series
     (0.3, 1.0, 0.5, 1.1205751915782955),
     (0.45, 2.0, 2.0, 0.81255921696567776),
     (1.2, 3.0, 5.0, 0.17178557580068248),
     (-0.8, 2.0, 1.0, -0.54894800404223012),
     (0.9, 1.0, 0.001, 6.0965157289159037),
     (1.3, 4.0, 6.0, 0.13782007760454185),
-    # 8 < z <= 50, a > 0: Laplace integral
+    # 8 < z <= 50, a > 0: Miller's recurrence in a
     (0.3, 1.5, 12.0, 0.47679003343119821),
     (1.7, 3.0, 20.0, 0.006291013267164727),
     (2.5, 2.25, 45.0, 6.8907559800515926e-5),
     (0.05, 1.0, 10.0, 0.89103899364676562),
-    # 8 < z <= 50, a <= 0: downward recurrence in a
+    # 8 < z <= 50, a <= 0: the same recurrence, read below a = 0
     (-0.7, 1.5, 12.0, 5.2945648791864012),
     (-2.3, 2.0, 30.0, 1896.4309263117118),
     (-1.5, 3.5, 15.0, 36.045210505928061),
@@ -81,6 +84,28 @@ M_REFERENCE = [
     (1.1, 2.0, -40.0, 0.016223190464747555),
     (-0.4, 1.7, -12.0, 2.431808551002363),
     (0.25, 0.75, -300.0, 0.16619196875214264),
+]
+
+# (a, b, z, M(a,b,z), dM/dz = (a/b) M(a+1,b+1,z))
+M_PAIR_REFERENCE = [
+    (0.3, 1.5, -60.0, 0.28231808021239614, 0.0014067957349795165),
+    (0.3, 1.5, -35.0, 0.33162352452339086, 0.0028257013017103928),
+    (0.3, 1.5, -20.0, 0.39171657222909777, 0.0058133646118324118),  # cancelling sum
+    (0.3, 1.5, -5.0, 0.58708784504288583, 0.033026877208026024),
+    (0.3, 1.5, 0.0, 1.0, 0.19999999999999999),
+    (0.3, 1.5, 0.01, 1.0020052114113914, 0.20104342551222602),
+    (0.3, 1.5, 3.0, 2.673255970738212, 1.2837764296858307),
+    (0.3, 1.5, 40.0, 851980628001093.27, 825937556331870.14),
+    (0.3, 1.5, 200.0, 3.725149901768538e+83, 3.7027196154895582e+83),
+    (-1.2, 2.25, -60.0, 51.408533544660696, -0.98795981065703497),
+    (-1.2, 2.25, -35.0, 27.827818193618947, -0.89199724176697118),
+    (-1.2, 2.25, -20.0, 15.053226907511561, -0.80543661985278787),
+    (-1.2, 2.25, -5.0, 3.9862505310402199, -0.64827551827943702),
+    (-1.2, 2.25, 0.0, 1.0, -0.53333333333333331),
+    (-1.2, 2.25, 0.01, 0.9946683087228542, -0.53300481895276082),
+    (-1.2, 2.25, 3.0, -0.41476948332399609, -0.39293223642766822),
+    (-1.2, 2.25, 40.0, 201184974426.59097, 182671862716.84673),
+    (-1.2, 2.25, 200.0, 2.0207397862064281e+78, 1.9854852489901548e+78),
 ]
 
 DIGAMMA_REFERENCE = [
@@ -115,6 +140,15 @@ def test_kummer_u_reference_grid(a, b, z, ref):
 @pytest.mark.parametrize("a,b,z,ref", M_REFERENCE)
 def test_kummer_m_reference_grid(a, b, z, ref):
     assert kummer_m(a, b, z) == pytest.approx(ref, rel=1e-12)
+    assert kummer_m(a, b, z) == kummer_m_pair(a, b, z)[0]
+
+
+@pytest.mark.parametrize("a,b,z,ref,dref", M_PAIR_REFERENCE)
+def test_kummer_m_pair_reference_grid(a, b, z, ref, dref):
+    m, dm = kummer_m_pair(a, b, z)
+    assert m == pytest.approx(ref, rel=1e-12)
+    assert dm == pytest.approx(dref, rel=1e-12)
+    assert kummer_m(a, b, z) == m
 
 
 @pytest.mark.parametrize("x,ref", DIGAMMA_REFERENCE)
@@ -238,12 +272,30 @@ def test_non_finite_arguments_are_domain_errors(bad):
             kummer_m(*args)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_laplace_integral_is_a_convergence_error():
-    # z in (8, 50] runs the Laplace route; (1 + u/z)^(b - a - 1) overflows
-    for a in (0.5, -2.5):  # the rule alone, and the rule plus the recurrence
+    # z in (8, 50] runs Miller's recurrence; carried up to b = 800 it
+    # overflows, as U ~ Gamma(799) 20^-799 does
+    for a in (0.5, -2.5):
         with pytest.raises(ConvergenceError):
             kummer_u(a, 800.0, 20.0)
+
+
+def test_overflow_far_below_zero_is_a_convergence_error():
+    # U(-300.5, 1.5, 20) ~ 9.5e618, past the double range
+    with pytest.raises(ConvergenceError):
+        kummer_u(-300.5, 1.5, 20.0)
+
+
+def test_kummer_u_builds_no_quadrature_rule(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    gauss_laguerre.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert len(find_xi_roots(TubeModel(4.0, 0.4, 1, 0.5))) == 3  # z = 16
+    for z in (8.0 + 1e-9, 9.5, 20.0, 37.0, 50.0, 73.0, 200.0):
+        for a, b in [(0.3, 1.5), (-2.7, 3.2), (14.6, 2.0), (33.0, 5.5), (-0.4, 22.0)]:
+            assert math.isfinite(kummer_u(a, b, z))
 
 
 def test_cli_runs_leave_scipy_out():

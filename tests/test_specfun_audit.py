@@ -2,9 +2,10 @@
 
 One seeded point cloud per branch of kummer_u and per branch edge, each held
 to the documented 1e-8 relative error.  The clouds span the audited box
-(a in [-6.3, 6.7], b in [1, 6] after the b < 1 lift, z in [1e-3, 200]).
-Most draw a at least 0.02 off an integer, since U has a zero next to each
-a = -n; three probe a or b just off an integer, on either side.
+(a in [-6.3, 6.7], b in [1, 6] after the b < 1 lift, z in [1e-3, 200]),
+widened to a in [6.7, 40] at 1.5 < z <= 50 and to b in [6, 40] at
+8 < z <= 50.  Most draw a at least 0.02 off an integer, since U has a zero
+next to each a = -n; three probe a or b just off an integer, on either side.
 """
 
 import math
@@ -19,6 +20,7 @@ mpmath = pytest.importorskip("mpmath")
 TOL = 1e-8
 POINTS = 60
 A_LO, A_HI = -6.3, 6.7
+A_LARGE, B_LARGE = 40.0, 40.0  # the widened box
 A_SERIES = 1.5  # small z: above this a and z, kummer_u recurs up from a lower a
 Z_SMALL, Z_ASYM = 8.0, 50.0  # kummer_u branch thresholds
 
@@ -44,6 +46,10 @@ def box(a_hi, b_of, z_of, a_lo=A_LO):
 
 def b_off_int(rng):
     return off_int(rng, 1, 6)
+
+
+def b_large(rng):
+    return off_int(rng, 6, B_LARGE)
 
 
 def b_int(rng):
@@ -100,7 +106,10 @@ CLOUDS = {
     "integer_b_large_z": box(A_HI, b_int, z_in(Z_SMALL, 200)),
     "edge_z_8": box(A_HI, b_off_int, z_at(Z_SMALL)),
     "edge_above_z_8": box(A_HI, b_off_int, z_at(ABOVE_8)),
-    "laplace": box(A_HI, b_off_int, z_in(Z_SMALL, Z_ASYM)),
+    "laplace": box(A_HI, b_off_int, z_in(Z_SMALL, Z_ASYM)),  # Miller; the key seeds the draws
+    "large_b_mid_z": box(A_HI, b_large, z_in(Z_SMALL, Z_ASYM)),
+    "large_a_mid_z": box(A_LARGE, b_off_int, z_in(Z_SMALL, Z_ASYM), a_lo=A_HI),
+    "large_a_gap": box(A_LARGE, b_off_int, z_in(A_SERIES, Z_SMALL), a_lo=A_HI),
     "edge_z_50": box(A_HI, b_off_int, z_at(Z_ASYM)),
     "edge_above_z_50": box(A_HI, b_off_int, z_at(ABOVE_50)),
     "asymptotic": box(A_HI, b_off_int, z_in(Z_ASYM, 200)),
@@ -135,8 +144,16 @@ def test_near_integer_b_gap_witness():
 @pytest.mark.parametrize("a, b, z", [(1e-13, 1.5, 20.0), (1e-300, 1.5, 20.0),
                                      (-2.0 + 1e-15, 3.0, 30.0)])
 def test_laplace_route_next_to_the_lattice(a, b, z):
-    # the Laplace rule starts from a in [1, 2), never from a Gauss weight near u^-1
+    # 8 < z <= 50: no step of Miller's recurrence divides by a factor that
+    # vanishes as a nears 0 or -n
     assert rel_err(a, b, z) <= 1e-13
+
+
+@pytest.mark.parametrize("a, b, z", [(-60.3, 2.5, 10.0), (-60.3, 2.5, 60.0),
+                                     (-150.5, 1.5, 20.0)])
+def test_recurrence_route_far_below_zero(a, b, z):
+    # Miller's sum is normalized at a - ceil(a) in (-1, 0]; at a itself it would cancel
+    assert rel_err(a, b, z) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [-5.5, -3.0 + 1e-12, -1e-300, 0.3, 1.0, 7.7, 12.5])
