@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from ._brent import brentq
-from .specfun import kummer_m_pair, kummer_u
+from .specfun import kummer_m_pair, kummer_u_pair
 
 __all__ = [
     "TubeModel",
@@ -98,18 +98,20 @@ def inside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, f
 
 
 def outside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, float]:
-    """(psi_out, dpsi_out/dr) of the exterior decaying solution at radius r."""
+    """(psi_out, dpsi_out/dr) of the exterior decaying solution at radius r.
+
+    One ``kummer_u_pair`` call gives U and dU/dz, so the derivative needs no
+    second U: dpsi_out/dr carries 2 dU/dz in place of -2a U(a+1, b+1, r^2).
+    """
     ma = model.m + model.alpha
     am = abs(ma)
     b = am + 1.0
     a = model.xi_from_energy(energy)
     z = r * r
-    u0 = kummer_u(a, b, z)
-    u1 = kummer_u(a + 1.0, b + 1.0, z)
+    u0, du = kummer_u_pair(a, b, z)
     ez = math.exp(-0.5 * z)
     val = r ** am * ez * u0
-    der = ez * (am * r ** (am - 1.0) * u0
-                - r ** (am + 1.0) * (2.0 * a * u1 + u0))
+    der = ez * (am * r ** (am - 1.0) * u0 + r ** (am + 1.0) * (2.0 * du - u0))
     return val, der
 
 

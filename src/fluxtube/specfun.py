@@ -23,6 +23,13 @@ The evaluation strategy for U follows the classical regime split:
   1983, 63-82), then carried up in b by [DLMF 13.3.10] and [DLMF 13.3.8],
   which is stable in that direction because U is dominant as b -> infinity.
 
+``kummer_u_pair`` gives U and dU/dz = -a U(a+1, b+1, z) [DLMF 13.3.22] from
+the same pass on every route: the Laguerre derivative, the series summed with
+the exponents of their powers of z, the gap route's ratio U(a+1, b)/U(a, b)
+with [DLMF 13.3.10], U(a, b) - U(a, b+1) from the two ends of Miller's carry
+in b, and the product rule through the b < 1 lift.  ``kummer_u`` is its first
+element.  ``kummer_m_pair`` does the same for M from one Taylor sum.
+
 All functions are pure and thread-safe; their caches (Gauss-Laguerre rules,
 the (b, z) head of the small-z series) hold read-only values.
 """
@@ -46,6 +53,7 @@ __all__ = [
     "kummer_m",
     "kummer_m_pair",
     "kummer_u",
+    "kummer_u_pair",
     "laguerre",
     "laguerre_deriv",
     "gauss_laguerre",
@@ -261,7 +269,7 @@ def _u_series_head(b: float, z: float) -> tuple:
     Returns n, eps, the k < n denominators (2-b)_k k! / z^k, Gamma(b-1) and
     z^(1-b), 1/Gamma(b), the a-free part of D_0 with n!, and the signed
     prefactor (-1)^n pi eps / sin(pi eps).  A channel of the shell problem
-    asks for two keys, b and b + 1, at one z.
+    asks for one key: its b at z = R^2.
     """
     n = round(b - 1.0)
     eps = b - 1.0 - n
@@ -279,46 +287,56 @@ def _u_series_head(b: float, z: float) -> tuple:
     return n, eps, tuple(dens), gb, zb, rb, d0, float(math.factorial(n)), -pref if n % 2 else pref
 
 
-def _u_series(a: float, b: float, z: float) -> float:
-    """U for b >= 1 from the two Kummer series of DLMF 13.2.42, uniform in b.
+def _u_series(a: float, b: float, z: float) -> tuple[float, float]:
+    """(U, dU/dz) for b >= 1 from the two Kummer series of DLMF 13.2.42, uniform in b.
 
     With b = n + 1 + eps, n the nearest integer, the first n terms of the
     z^(1-b) series stand alone; each later one, X_j, pairs with the term Y_j of
     M(a, b, z).  D_j = (X_j - Y_j) / eps starts from divided differences of z^-eps,
     1/Gamma and (1+eps)_n, and runs D_{j+1} = x_j D_j + Y_j d_j with x_j, y_j the
     term ratios and d_j = (x_j - y_j) / eps in closed form (Temme, Numer. Math. 41,
-    1983, 63-82).  At eps = 0 this is the log series [DLMF 13.2.9].
+    1983, 63-82).  At eps = 0 this is the log series [DLMF 13.2.9].  The same
+    pass sums z dU/dz: the k-th stand-alone term, a power z^(1-b+k), takes a
+    factor 1 - b + k, and z d/dz D_j = (j - eps) D_j - Y_j.
     """
     n, eps, dens, gb, zb, rb, d0, nfact, pref = _u_series_head(b, z)
     ra = rgamma(a)
-    # the sum over k < n of (a-b+1)_k / ((2-b)_k k! / z^k)
-    finite, pn = 0.0, 1.0
+    # the sum over k < n of (a-b+1)_k / ((2-b)_k k! / z^k), and of (1-b+k) times it
+    finite, zfinite, pn = 0.0, 0.0, 1.0
     for k, den in enumerate(dens):
-        finite += pn / den
+        t = pn / den
+        finite += t
+        zfinite += (1.0 - b + k) * t
         pn *= a - b + 1.0 + k
     if n:
-        finite *= gb * ra * zb
+        c = gb * ra * zb
+        finite *= c
+        zfinite *= c
     d = pn * (ra * d0 / nfact - _rgamma_diff(a, eps) * rb)
     y, total = rgamma(a - b + 1.0) * rb, d  # Y_0 and the sum of the D_j
+    ztotal = -eps * d - y  # the sum of z d/dz D_j
     for j in range(SERIES_CAP):
         p, q = j + 1.0, n + j + 1.0
         w = z / ((p - eps) * q * (q + eps) * p)
         d = (a - eps + j) * (q + eps) * p * w * d + ((a + j) * (p + q) - p * (q + eps)) * w * y
         y *= (a + j) * (p - eps) * q * w
         total += d
+        ztotal += (p - eps) * d - y
         if abs(d) <= SERIES_EPS * abs(total):
-            return finite + pref * total
+            return finite + pref * total, (zfinite + pref * ztotal) / z
     raise ConvergenceError(f"kummer_u series cap at a={a}, b={b}, z={z}")
 
 
-def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, bool]:
+def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, float, bool]:
     """Poincare expansion U ~ z^-a * 2F0(a, a-b+1; ; -1/z) with optimal truncation.
 
-    Returns (value, ok); ok is False when the smallest term cannot certify
-    ~1e-9 relative accuracy, in which case the caller falls through to the
-    integral representation.
+    Returns (value, dU/dz, ok), the derivative summed term by term: the k-th
+    term, a power z^(-a-k), takes a factor -(a + k) / z.  ok is False when the
+    smallest term cannot certify ~1e-9 relative accuracy of the value, in
+    which case the caller falls through to Miller's recurrence.
     """
     s = 1.0
+    ds = -a
     term = 1.0
     smallest = math.inf
     for k in range(SERIES_CAP):
@@ -327,12 +345,14 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, bool]:
             smallest = abs(nxt)
             break
         s += nxt
+        ds -= (a + k + 1.0) * nxt
         term = nxt
         if abs(term) <= SERIES_EPS * abs(s):
             smallest = abs(term)
             break
     ok = smallest <= 1e-9 * max(abs(s), 1e-300)
-    return z ** (-a) * s, ok
+    za = z ** (-a)
+    return za * s, za * ds / z, ok
 
 
 def _miller_height(a: float, z: float) -> int:
@@ -347,8 +367,18 @@ def _miller_height(a: float, z: float) -> int:
     return int(600.0 / z) + 20 + int(4.0 * math.sqrt(max(a, 0.0) * 600.0 / z))
 
 
-def _u_miller(a: float, b: float, z: float) -> float:
-    """U for b >= 1 by Miller's backward recurrence in a [DLMF 13.3.7].
+def _ratio_height(a: float, z: float) -> int:
+    """Steps above a at which the gap route's backward ratios start.
+
+    The ratios alone need no normalization tail: their start error falls like
+    exp(-4 (sqrt((a + N) z) - sqrt(a z))), below e^-39 from
+    N = 96/z + 20 sqrt(a/z) on; five more steps cover the prefactor.
+    """
+    return int(96.0 / z + 20.0 * math.sqrt(a / z)) + 5
+
+
+def _u_miller(a: float, b: float, z: float) -> tuple[float, float]:
+    """(U, dU/dz) for b >= 1 by Miller's backward recurrence in a [DLMF 13.3.7].
 
     At b0 = b - floor(b) + 1 in [1, 2) the recurrence
     U(c-1) = (2c - b0 + z) U(c) - c (c - b0 + 1) U(c+1) runs down from
@@ -360,9 +390,10 @@ def _u_miller(a: float, b: float, z: float) -> float:
     scale; started far below 0 that sum would cancel.  The pass reads
     U(a-1, b0) and U(a, b0); z U(a, b0+1) = (b0 - a) U(a, b0) + U(a-1, b0)
     [DLMF 13.3.10] gives the next b, and [DLMF 13.3.8] carries U up to b,
-    stably, as U is dominant as b -> infinity.  Its dominant part carries a
-    factor 1/Gamma(a), so next to a = -n at large b the steps in b lose
-    digits.
+    stably, as U is dominant as b -> infinity.  The carry ends on U(a, b)
+    and U(a, b+1), and dU/dz = U(a, b) - U(a, b+1) [DLMF 13.3.9, 13.3.22].
+    Its dominant part carries a factor 1/Gamma(a), so next to a = -n at
+    large b the steps in b lose digits.
     """
     k = max(math.ceil(a), 1)
     base, b0 = a - k, b - (math.floor(b) - 1)
@@ -382,10 +413,11 @@ def _u_miller(a: float, b: float, z: float) -> float:
     for i in range(math.floor(b) - 1):
         c = b0 + 1.0 + i
         lo, hi = hi, ((c + z - 1.0) * hi - (c - a - 1.0) * lo) / z
-    val = lo * z ** -(base + n0) / s if s else math.inf
-    if not math.isfinite(val):
+    za = z ** -(base + n0)
+    val, der = (lo * za / s, (lo - hi) * za / s) if s else (math.inf, math.inf)
+    if not (math.isfinite(val) and math.isfinite(der)):
         raise ConvergenceError(f"kummer_u recurrence route failed at a={a}, b={b}, z={z}")
-    return val
+    return val, der
 
 
 def kummer_u(a: float, b: float, z: float) -> float:
@@ -403,7 +435,10 @@ def kummer_u(a: float, b: float, z: float) -> float:
     a and b too: below 1e-8 relative away from the zeros of U.  With a at
     least 0.02 off an integer, the same holds for a in [6.7, 40] at
     1.5 < z <= 50 (b in [1, 6]) and for b in [6, 40] at 8 < z <= 50
-    (a in [-6.3, 6.7]).
+    (a in [-6.3, 6.7]).  Outside that box, next to a = -n at large b and
+    8 < z <= 50, Miller's steps in b lose digits: 4e-2 relative at
+    (-1 - 1e-15, 73.456, 22.172).  This is the first element of
+    ``kummer_u_pair``.
 
     Raises
     ------
@@ -413,30 +448,57 @@ def kummer_u(a: float, b: float, z: float) -> float:
         If an internal series fails to reach tolerance or the recurrence
         route overflows (large b at large z).
     """
+    return kummer_u_pair(a, b, z)[0]
+
+
+def kummer_u_pair(a: float, b: float, z: float) -> tuple[float, float]:
+    """(U(a, b, z), dU/dz) from one pass; dU/dz = -a U(a+1, b+1, z) [DLMF 13.3.22].
+
+    Takes the same routes as ``kummer_u`` and returns its value as the first
+    element; each route reads the derivative off the pass that gives U:
+
+    * polynomial: d/dz L_n^{b-1} (``laguerre_deriv``);
+    * small-z series: its terms are powers of z, summed with their exponents;
+    * gap: the ratio U(a+1, b) / U(a, b) of the chain, and
+      z U(a+1, b+1) = U(a, b) - (a - b + 1) U(a+1, b) [DLMF 13.3.10];
+    * Miller: U(a, b) - U(a, b+1), both ends of the carry in b;
+    * asymptotic: the series differentiated term by term;
+    * b < 1: the product rule on z^(1-b) U(a-b+1, 2-b, z).
+
+    dU/dz is audited against mpmath to 1e-8 relative on one cloud per route
+    in ``kummer_u``'s box, a at least 0.02 off an integer (dU/dz vanishes at
+    a = 0 and next to the zeros of U(a+1, b+1, z)).  Next to the lattice its
+    error stays below 1e-13 of |U| + |dU/dz|.
+    """
     _require_finite("kummer_u", a, b, z)
     if z <= 0.0:
         raise DomainError(f"kummer_u requires z > 0, got z={z!r}")
     if b < 1.0:
         # DLMF 13.2.40 lifts b onto [1, inf): U(a,b,z) = z^{1-b} U(a-b+1, 2-b, z)
-        return z ** (1.0 - b) * kummer_u(a - b + 1.0, 2.0 - b, z)
+        u, du = kummer_u_pair(a - b + 1.0, 2.0 - b, z)
+        zb = z ** (1.0 - b)
+        return zb * u, zb * (du + (1.0 - b) * u / z)
     if _is_nonpositive_int(a):
         n = int(-a)
-        return (-1.0) ** n * math.factorial(n) * float(laguerre(n, b - 1.0, z))
+        c = (-1.0) ** n * math.factorial(n)
+        return c * float(laguerre(n, b - 1.0, z)), c * float(laguerre_deriv(n, b - 1.0, z))
     if z > _Z_ASYM:
-        val, ok = _u_asymptotic(a, b, z)
+        val, der, ok = _u_asymptotic(a, b, z)
         if ok:
-            return val
+            return val, der
     if z <= _Z_SMALL:
         if a <= 1.5 or z <= 1.5:
             return _u_series(a, b, z)
         k = math.ceil(a - 1.5)
-        u, r = _u_series(a - k, b, z), 0.0
-        for i in range(k + _miller_height(a, z), -1, -1):
+        u, r = _u_series(a - k, b, z)[0], 0.0
+        for i in range(k + _ratio_height(a, z), -1, -1):
             c = a - k + i
             r = 1.0 / (2.0 * c + 2.0 - b + z - (c + 1.0) * (c + 2.0 - b) * r)
             if i < k:
                 u *= r
-        return u
+            elif i == k:
+                rk = r  # U(a+1, b) / U(a, b)
+        return u, a * ((a - b + 1.0) * rk - 1.0) * u / z
     return _u_miller(a, b, z)
 
 

@@ -18,6 +18,7 @@ from fluxtube import (
     outside_solution,
     xi_limit_table,
 )
+from fluxtube import regularization, specfun
 from fluxtube.regularization import matching_wronskian
 
 # alpha = 0.5, m = 0, sigma = +1/2 (the channel carrying the regular tower):
@@ -164,6 +165,17 @@ def test_solution_derivatives_match_finite_difference(solution):
             vm, _ = solution(model, energy, r - h)
             _, der = solution(model, energy, r)
             assert der == pytest.approx((vp - vm) / (2.0 * h), rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("radius", [0.3, 4.0, 9.0])  # z = R^2 on each side of 8 and 50
+def test_find_xi_roots_makes_one_u_pass_per_evaluation(monkeypatch, radius):
+    # U and dU/dz come from one kummer_u_pair call: no route calls kummer_u
+    def no_kummer_u(*args):
+        raise AssertionError("kummer_u was called")
+
+    for module in (specfun, regularization):
+        monkeypatch.setattr(module, "kummer_u", no_kummer_u, raising=False)
+    assert len(find_xi_roots(TubeModel(radius, 0.4, 1, 0.5))) == 3
 
 
 def test_outside_solution_decays():

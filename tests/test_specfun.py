@@ -8,8 +8,10 @@ and pasted here, so the tests never import the library they are checking
 against at runtime.  The U grid is chosen to force every internal branch:
 the small-z series at non-integer and at integer b, Miller's recurrence in
 a at 8 < z <= 50 (a > 0 and a <= 0), the large-z asymptotic series, and the
-b < 1 lift.  The M grid with dM/dz runs the direct sum and both routes to
-the Kummer transformation (z < -30, and a cancelling sum at -30 <= z < 0).
+b < 1 lift.  The U grid with dU/dz = -a U(a+1, b+1, z) adds the polynomial
+branch and the ratio chain for a > 1.5 at 1.5 < z <= 8.  The M grid with
+dM/dz runs the direct sum and both routes to the Kummer transformation
+(z < -30, and a cancelling sum at -30 <= z < 0).
 """
 
 import math
@@ -32,6 +34,7 @@ from fluxtube.specfun import (
     kummer_m,
     kummer_m_pair,
     kummer_u,
+    kummer_u_pair,
     laguerre,
     laguerre_deriv,
     lgamma,
@@ -73,6 +76,40 @@ U_REFERENCE = [
     (0.3, 0.5, 2.0, 0.7452924078740467),
     (-1.7, -0.5, 4.0, 9.5983503118055643),
     (0.8, 0.25, 30.0, 0.06327940368227435),
+]
+
+# (a, b, z, U(a,b,z), dU/dz = -a U(a+1,b+1,z)) — route noted per block
+U_PAIR_REFERENCE = [
+    # a = -n exactly: the polynomial branch; at a = 0, U = 1 and dU/dz = 0
+    (0.0, 2.5, 3.0, 1.0, 0.0),
+    (-3.0, 1.7, 4.2, -12.825000000000002, -10.349999999999999),
+    (-2.0, 3.0, 60.0, 3132.0, 112.0),
+    # z <= 8, non-integer b: the small-z series
+    (0.3, 1.5, 0.5, 1.3237376507795524, -0.92864910474438357),
+    (-0.7, 2.3, 3.0, 1.1004113327870426, 0.62596383222374022),
+    (2.4, 3.8, 0.02, 77490.567870763976, -1.0831769522845043e+7),
+    (0.37, 1.5, 0.0001, 74.162472433989319, -368725.3072382175),
+    # z <= 8, integer b: the same series at eps = 0
+    (0.3, 1.0, 0.5, 1.1205751915782955, -0.53713329809040571),
+    (1.2, 3.0, 5.0, 0.17178557580068248, -0.046426785965016218),
+    (-0.8, 2.0, 1.0, -0.54894800404223012, 1.2141305239051332),
+    # a > 1.5 at 1.5 < z <= 8: the series at a - k, carried up by the ratio chain
+    (3.3, 1.7, 4.0, 0.0027556287446949919, -0.0016500636917381248),
+    (20.5, 2.5, 3.0, 5.1604733504963859e-24, -1.253283065839607e-23),
+    (35.68, 4.95, 1.6, 1.3282246988768835e-43, -7.4733383690688604e-43),
+    # 8 < z <= 50: Miller's recurrence in a
+    (0.3, 1.5, 12.0, 0.47679003343119821, -0.012102709844121774),
+    (1.7, 3.0, 20.0, 0.006291013267164727, -5.4192287341953624e-4),
+    (-2.3, 2.0, 30.0, 1896.4309263117118, 164.36422826421399),
+    (14.6, 2.0, 37.0, 2.240085936204746e-25, -6.9206280910793663e-26),
+    # z > 50: the asymptotic series
+    (0.3, 1.5, 80.0, 0.26877973570664942, -0.0010104100253318446),
+    (-0.7, 2.0, 120.0, 28.254968014183879, 0.1671831339802805),
+    (1.9, 3.2, 400.0, 1.1394699750267783e-5, -5.4165155779767751e-8),
+    # b < 1: the lift
+    (0.3, 0.5, 2.0, 0.7452924078740467, -0.087237463028526574),
+    (-1.7, -0.5, 4.0, 9.5983503118055643, 4.3333358519941661),
+    (0.8, 0.25, 30.0, 0.06327940368227435, -0.0016087146139813763),
 ]
 
 M_REFERENCE = [
@@ -135,6 +172,15 @@ LGAMMA_REFERENCE = [
 @pytest.mark.parametrize("a,b,z,ref", U_REFERENCE)
 def test_kummer_u_reference_grid(a, b, z, ref):
     assert kummer_u(a, b, z) == pytest.approx(ref, rel=1e-8)
+    assert kummer_u(a, b, z) == kummer_u_pair(a, b, z)[0]
+
+
+@pytest.mark.parametrize("a,b,z,ref,dref", U_PAIR_REFERENCE)
+def test_kummer_u_pair_reference_grid(a, b, z, ref, dref):
+    u, du = kummer_u_pair(a, b, z)
+    assert u == pytest.approx(ref, rel=1e-12)
+    assert du == pytest.approx(dref, rel=1e-12)
+    assert kummer_u(a, b, z) == u
 
 
 @pytest.mark.parametrize("a,b,z,ref", M_REFERENCE)
