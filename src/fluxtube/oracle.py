@@ -33,9 +33,23 @@ them at its c1 by Horner's rule.  Within blocks of _BLOCK steps the
 propagators are swept up into tile products (G. E. Blelloch, "Prefix sums
 and their applications", CMU-CS-90-190, 1990).  The block totals carry
 (psi, phi) from block to block, renormalized once per block so that the
-amplitudes never leave floating-point range; on the way down each tile's
-left product takes the tile's start vector to its midpoint, which gives psi
-after every step for the node count.
+amplitudes never leave floating-point range; D(E) needs nothing else.
+
+The node count needs psi only where no two zeros can fall between samples.
+With u = sqrt(r) psi the radial equation reads u'' + Q u = 0,
+
+    Q = 4E - 2 m_eff - 4 sigma - r^2 - (m_eff^2 - 1/4)/r^2,
+
+and on a region starting at r0, Q <= Q_max = 4E - 2 m_eff - 4 sigma - r0^2
++ max(0, 1/4 - m_eff^2)/r0^2.  By Sturm comparison the zeros of psi there
+lie at least pi/sqrt(Q_max) apart (there is at most one if Q_max <= 0).
+So the down sweep, in which each tile's
+left product takes the tile's start vector to its midpoint, stops at tiles
+of the largest power of two up to _BLOCK steps that spans at most half that
+spacing (one step where even a step is longer), and the sign changes of psi
+are counted at the tile ends: a tile holds at most one zero.  The tile
+comes from each shot's own energy, and the count is the one a sample after
+every step would give.
 
 Levels are found by node counting, not on an energy grid: by the Sturm
 oscillation theorem the number N(E) of sign changes of psi on (0, r_max] is
@@ -130,8 +144,8 @@ def _propagator_coefficients(r0, r1, nsteps, ma):
     h6 = h / 6.0
     c0 = ma * ma
     coef = np.empty((9, nsteps))
-    for first in range(0, nsteps, _BLOCK):  # in blocks, so no temporary outgrows one
-        r = r0 + np.arange(first, min(first + _BLOCK, nsteps)) * h
+    for first in range(0, nsteps, _PASS):  # a pass at a time, so no temporary outgrows one
+        r = r0 + np.arange(first, min(first + _PASS, nsteps)) * h
         rh = r + a
         rf = r + h
         g, gh, gf = c0 / (r * r) + r * r, c0 / (rh * rh) + rh * rh, c0 / (rf * rf) + rf * rf
@@ -167,6 +181,17 @@ def _propagator_coefficients(r0, r1, nsteps, ma):
     return coef
 
 
+def _node_tile(r0, h, ma, c1):
+    """Steps per node-count tile of a region from r0 at step h: the largest
+    power of two up to ``_BLOCK`` that spans at most half of pi/sqrt(Q_max),
+    the least zero spacing of psi there (module docstring), or 1."""
+    q_max = -c1 - r0 * r0 + max(0.0, 0.25 - ma * ma) / (r0 * r0)
+    tile = _BLOCK
+    while tile > 1 and q_max > 0.0 and tile * h * math.sqrt(q_max) > 0.5 * math.pi:
+        tile //= 2
+    return tile
+
+
 def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
     """Integrate one region with fixed angular number; returns (psi, phi,
     log_scale, nodes), adding the sign changes of psi to the node count.
@@ -176,12 +201,13 @@ def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
     of ``_BLOCK`` steps (a pass shorter than a block: to the next power of
     two) and sweeps each block up into tile products.  The block totals carry
     (psi, phi) from block to block; on the way down each tile's left product
-    takes the tile's start vector to its midpoint, and the last level
-    computes psi alone."""
+    takes the tile's start vector to its midpoint, down to the tiles of
+    ``_node_tile``, at whose ends the sign changes of psi are counted."""
     h = (r1 - r0) / nsteps
     c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
     quad = c1 * h ** 4 / 24.0  # c1 times the c1^2 coefficient of m00 and m11
     coef = _propagator_coefficients(r0, r1, nsteps, ma)
+    tile = _node_tile(r0, h, ma, c1)
     log_scale = 0.0
     negative = psi < 0.0
     for first in range(0, nsteps, _PASS):
@@ -200,7 +226,7 @@ def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
             lat, ear = m[..., 2 * span - 1::2 * span], m[..., span - 1::2 * span]
             m[..., 2 * span - 1::2 * span] = lat[:, :1] * ear[:1] + lat[:, 1:] * ear[1:]
             span *= 2
-        # (psi, phi) before the pass and after each step, to one positive scale per block
+        # (psi, phi) before the pass and after each tile, to one positive scale per block
         v = np.empty((2, m.shape[-1] + 1))
         totals = m[..., width - 1::width].transpose(2, 0, 1).tolist()
         for b, ((pa, pb), (pc, pd)) in enumerate(totals):
@@ -212,13 +238,13 @@ def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
                 phi /= s
                 log_scale += math.log(s)
         v[:, -1] = psi, phi
+        step = min(tile, width)
         span = width // 2
-        while span > 1:  # down: each 2*span tile's midpoint from its start and left half
+        while span >= step:  # down: each 2*span tile's midpoint from its start and left half
             left, start = m[..., span - 1::2 * span], v[:, :-1:2 * span]
             v[:, span::2 * span] = left[:, 0] * start[0] + left[:, 1] * start[1]
             span //= 2
-        v[0, 1::2] = m[0, 0, ::2] * v[0, :-1:2] + m[0, 1, ::2] * v[1, :-1:2]
-        below = v[0, 1:] < 0.0
+        below = v[0, step::step] < 0.0
         nodes += int(below[0] != negative) + int(np.count_nonzero(below[1:] != below[:-1]))
         negative = bool(below[-1])
     return psi, phi, log_scale, nodes

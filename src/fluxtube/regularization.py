@@ -164,8 +164,15 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     n_roots = n_max + 1
     xi_floor = _xi_floor(model, n_max)
 
+    pairs: dict[float, tuple[float, float]] = {}  # xi -> (W, scale): none is evaluated twice
+
+    def w_pair(xi: float) -> tuple[float, float]:
+        if xi not in pairs:
+            pairs[xi] = matching_wronskian(model, model.energy_from_xi(xi))
+        return pairs[xi]
+
     def w_of_xi(xi: float) -> float:
-        return matching_wronskian(model, model.energy_from_xi(xi))[0]
+        return w_pair(xi)[0]
 
     results: list[MatchResult] = []
     xi_prev = model.xi_offset + 0.3
@@ -179,10 +186,9 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
                 root, iters = xi_prev, 0
             else:
                 root, iters = brentq(w_of_xi, xi_cur, xi_prev, xtol=_XI_TOL)
-            energy = model.energy_from_xi(root)
-            w, scale = matching_wronskian(model, energy)
+            w, scale = w_pair(root)
             residual = abs(w) / scale if scale > 0.0 else abs(w)
-            results.append(MatchResult(root, energy, model.radius,
+            results.append(MatchResult(root, model.energy_from_xi(root), model.radius,
                                        (xi_cur, xi_prev), iters, residual))
         xi_prev, w_prev = xi_cur, w_cur
     return results

@@ -521,14 +521,15 @@ def laguerre(n: int, a: float, z):
     if not (float(n).is_integer() and n >= 0):
         raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
     n = int(n)
-    zs = np.asarray(z, dtype=float)
-    prev = np.ones_like(zs)
+    scalar = np.isscalar(z)  # a scalar z runs on plain floats, not 0-d arrays
+    zs = float(z) if scalar else np.asarray(z, dtype=float)
+    prev = 1.0 if scalar else np.ones_like(zs)
     if n == 0:
-        return float(prev) if np.isscalar(z) else prev
+        return prev
     cur = 1.0 + a - zs
     for k in range(1, n):
         prev, cur = cur, ((2.0 * k + 1.0 + a - zs) * cur - (k + a) * prev) / (k + 1.0)
-    return float(cur) if np.isscalar(z) else cur
+    return float(cur) if scalar else cur
 
 
 def laguerre_deriv(n: int, a: float, z):
@@ -536,8 +537,7 @@ def laguerre_deriv(n: int, a: float, z):
     if not (float(n).is_integer() and n >= 0):
         raise DomainError(f"laguerre degree must be a nonnegative integer, got {n!r}")
     if int(n) == 0:
-        zs = np.asarray(z, dtype=float)
-        return 0.0 if np.isscalar(z) else np.zeros_like(zs)
+        return 0.0 if np.isscalar(z) else np.zeros_like(np.asarray(z, dtype=float))
     out = laguerre(int(n) - 1, a + 1.0, z)
     return -out if np.isscalar(z) else -np.asarray(out)
 

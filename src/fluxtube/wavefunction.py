@@ -165,7 +165,8 @@ def psi_zero_mode(m: int, alpha: float, *,
     same profile as ``psi_regular(0, m, alpha)``.
     """
     state = FluxConfig(alpha).zero_mode(m)
-    return _laguerre_profile(state, alpha, -(state.label.m + alpha), r_max, npoints)
+    # 0.0 - x, not -x: at m + alpha = 0 the exponent is 0.0, as psi_regular's, not -0.0
+    return _laguerre_profile(state, alpha, 0.0 - (state.label.m + alpha), r_max, npoints)
 
 
 def apply_supercharge(profile: RadialProfile, direction: str, *,

@@ -145,6 +145,17 @@ def test_wavefunction_zero_mode(capsys):
     assert doc["meta"]["exponent"] == -0.5
 
 
+def test_zero_mode_at_integer_flux_prints_the_regular_bytes(capsys):
+    # alpha = -1, m = 1: the zero mode is psi_regular(0, 1, -1), exponent 0.0 both ways
+    args = ["wavefunction", "--alpha", "-1", "--m", "1", "--format", "json", "--points", "9"]
+    rc, zero, _ = run_cli(args + ["--zero-mode"], capsys)
+    assert rc == 0
+    rc, regular, _ = run_cli(args + ["--n", "0"], capsys)
+    assert rc == 0
+    assert zero == regular
+    assert '"exponent": 0.0,' in zero
+
+
 def test_wavefunction_zero_mode_bound_cited_in_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["wavefunction", "--alpha", "0.5", "--m", "1", "--zero-mode"])

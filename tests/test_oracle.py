@@ -227,6 +227,44 @@ def test_shoot_matches_the_scalar_rk4_loop(kwargs, monkeypatch):
         assert d == pytest.approx(d_ref, rel=1e-10), e
 
 
+@pytest.mark.parametrize("h", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("kwargs", [
+    dict(alpha=0.37, m=0, sigma=0.5),                         # |m_eff| < 1/2 everywhere
+    dict(alpha=1.5, m=0, sigma=-0.5, shell_radius=0.3),       # m_eff = 0 inside the shell
+    dict(alpha=-0.5, m=-1, sigma=0.5, shell_radius=1.0),
+])
+def test_tiled_node_count_matches_the_per_step_count(kwargs, h, monkeypatch):
+    # up to E = 40, where count mode's widened window reaches (r_max from its wall)
+    prob = ShootingProblem(**kwargs, r_max=math.sqrt(80.0) + 8.0, h=h)
+    energies = (-0.3, 0.9, 3.3, 8.7, 17.1, 26.5, 33.9, 40.0)
+    fast = [shoot(prob, e) for e in energies]
+    monkeypatch.setattr(fluxtube.oracle, "_rk4_region", _scalar_rk4_region)
+    ref = [shoot(prob, e) for e in energies]
+    assert [n for _, n in fast] == [n for _, n in ref]
+    assert fast[-1][1] >= 10
+    for (d, _), (d_ref, _), e in zip(fast, ref, energies):
+        assert d == pytest.approx(d_ref, rel=1e-9), e
+
+
+def test_node_tile_is_a_power_of_two_within_half_the_zero_spacing():
+    tile_of = fluxtube.oracle._node_tile
+    block = fluxtube.oracle._BLOCK
+    for r0, ma, sigma, energy in [(0.05, 0.37, 0.5, 40.0), (1e-4, 0.0, -0.5, 2.0),
+                                  (0.3, 1.5, -0.5, 9.0), (0.05, -1.0, 0.5, 0.4)]:
+        c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
+        q_max = -c1 - r0 * r0 + max(0.0, 0.25 - ma * ma) / (r0 * r0)
+        half_spacing = 0.5 * math.pi / math.sqrt(q_max)
+        for h in (1e-4, 1e-3, 0.01, 0.2, 1.0):
+            tile = tile_of(r0, h, ma, c1)
+            assert tile & (tile - 1) == 0 and 1 <= tile <= block
+            if h > half_spacing:  # no tile is short enough: count after every step
+                assert tile == 1
+            else:
+                assert tile * h <= half_spacing and (tile == block or 2 * tile * h > half_spacing)
+    # no oscillation (Q_max <= 0): at most one zero on the region, one tile per block
+    assert tile_of(0.5, 0.2, 2.0, 2.0 * 2.0 + 2.0 - 4.0 * 0.1) == block
+
+
 def test_propagator_memo_holds_one_problem():
     # point flux m = 0, then m = 1: the memo keeps only the regions of the last
     # problem shot (0.93 MB at r_max = 12), not those of both

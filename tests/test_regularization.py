@@ -178,6 +178,24 @@ def test_find_xi_roots_makes_one_u_pass_per_evaluation(monkeypatch, radius):
     assert len(find_xi_roots(TubeModel(radius, 0.4, 1, 0.5))) == 3
 
 
+@pytest.mark.parametrize("radius", [0.3, 4.0])
+def test_find_xi_roots_evaluates_no_xi_twice(monkeypatch, radius):
+    # brentq's bracket ends and the residual at the root reuse the scan's (W, scale)
+    energies = []
+    real = regularization.matching_wronskian
+
+    def recording(model, energy):
+        energies.append(energy)
+        return real(model, energy)
+
+    model = TubeModel(radius, 0.4, 1, 0.5)
+    want = find_xi_roots(model)
+    monkeypatch.setattr(regularization, "matching_wronskian", recording)
+    assert find_xi_roots(model) == want
+    assert len(want) == 3
+    assert len(set(energies)) == len(energies)
+
+
 def test_outside_solution_decays():
     model = TubeModel(0.2, 0.5, 0, 0.5)
     vals = [abs(outside_solution(model, 0.4, r)[0]) for r in (1.0, 2.0, 4.0, 6.0)]

@@ -374,11 +374,16 @@ def test_laguerre_spot_value():
 
 
 def test_laguerre_vector_matches_scalar():
-    z = np.linspace(0.0, 12.0, 7)
-    vec = laguerre(4, 1.5, z)
-    assert vec.shape == z.shape
-    for zi, vi in zip(z, vec):
-        assert laguerre(4, 1.5, float(zi)) == pytest.approx(vi, rel=1e-13)
+    # a scalar z runs the recurrence in plain floats: the array's values bit for bit
+    z = np.array([0.0, 1e-3, 0.7, 3.0, 12.5, 40.0])
+    for n, a in [(0, 0.5), (1, -0.3), (4, 1.5), (12, 3.25)]:
+        vec, der = laguerre(n, a, z), laguerre_deriv(n, a, z)
+        assert vec.shape == der.shape == z.shape
+        for zi, vi, di in zip(z.tolist(), vec.tolist(), der.tolist()):
+            for scalar in (zi, np.float64(zi)):
+                value, slope = laguerre(n, a, scalar), laguerre_deriv(n, a, scalar)
+                assert type(value) is float and type(slope) is float
+                assert (value.hex(), slope.hex()) == (vi.hex(), di.hex())
 
 
 def test_laguerre_deriv_matches_finite_difference():
