@@ -8,7 +8,8 @@ regularize    shrink a finite flux shell and tabulate the spectral migration
 verify        run the built-in self-check suites
 
 Output is CSV on stdout (or to ``--output``), with floats printed as %.12g
-so runs are byte-for-byte reproducible; ``--format json`` emits a single
+so runs are byte-for-byte reproducible (``regularize`` rounds its deviation and
+match_minus_oracle to their solver tolerance); ``--format json`` emits a single
 JSON document instead.  When ``--output`` is used with CSV, a JSON sidecar
 ``<output>.json`` records the run's parameters and column metadata.  A
 relative ``--output`` is resolved inside ``$FLUXTUBE_OUTDIR`` when that is
@@ -31,8 +32,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .oracle import ShootingProblem, oracle_eigenvalues
-from .regularization import TubeModel, find_xi_roots, xi_limit_table
+from .oracle import E_TOL, ShootingProblem, oracle_eigenvalues
+from .regularization import XI_TOL, TubeModel, find_xi_roots, xi_limit_table
 from .spectrum import (
     FluxConfig,
     energy_regular,
@@ -63,6 +64,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.12g" % value
     return str(value)
+
+
+def _to_tolerance(value, tol):
+    """value rounded to the decimals of the absolute tolerance it was solved to."""
+    return None if value is None else round(value, round(-math.log10(tol))) + 0.0
 
 
 def _resolve_output(path: str) -> str:
@@ -274,10 +280,10 @@ def _cmd_regularize(args) -> int:
 
     rows = []
     for row in rows_data:
-        rec = [row.radius, row.n, row.xi, row.energy, row.deviation,
-               row.residual]
+        rec = [row.radius, row.n, row.xi, row.energy,
+               _to_tolerance(row.deviation, XI_TOL), row.residual]
         if args.verify:
-            rec += [row.oracle_energy, row.oracle_diff]
+            rec += [row.oracle_energy, _to_tolerance(row.oracle_diff, E_TOL)]
         rec.append(row.note)
         rows.append(rec)
 

@@ -72,7 +72,7 @@ import numpy as np
 
 from fluxtube._brent import brentq
 
-__all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues"]
+__all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues", "E_TOL"]
 
 # Integration grid, shared by every problem: the Frobenius start radius, the
 # edge of the stiff inner region and its step refinement.  RK4 steps are
@@ -83,7 +83,7 @@ _INNER_EDGE = 0.05
 _INNER_REFINE = 32
 _BLOCK = 512
 _PASS = 4 * _BLOCK
-_E_TOL = 1e-12  # absolute brentq tolerance on each eigenvalue
+E_TOL = 1e-12  # absolute brentq tolerance on each eigenvalue
 _PROPAGATORS: dict = {}  # region -> its propagator coefficients, for one problem at a time
 
 
@@ -320,7 +320,7 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
         F(E) = D(E) exp(kappa (E - a)) / |D(a)|,
         kappa = ln(|D(a)| / |D(b)|) / (b - a),
 
-    to ``_E_TOL``.  The factor is positive, so F has the sign and the zeros
+    to ``E_TOL``.  The factor is positive, so F has the sign and the zeros
     of D, and it takes out the exponential trend of |D| across the bracket:
     F is +-1 at the ends, whose shots are already made (kappa = 0 if an end
     has D = 0).  No energy is shot twice on one integration range.  With
@@ -394,4 +394,4 @@ def oracle_eigenvalues(problem: ShootingProblem, e_min: float = -0.3,
                                               600.0)), d)
         return f
 
-    return [brentq(detrended(a, b), a, b, xtol=_E_TOL)[0] for a, b in isolate(e_min, e_max)]
+    return [brentq(detrended(a, b), a, b, xtol=E_TOL)[0] for a, b in isolate(e_min, e_max)]

@@ -45,11 +45,12 @@ __all__ = [
     "matching_wronskian",
     "find_xi_roots",
     "xi_limit_table",
+    "XI_TOL",
 ]
 
 # Root scan in xi: step between cross-form samples, and brentq tolerance.
 _XI_STEP = 0.02
-_XI_TOL = 1e-13
+XI_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
 
     Starts below every possible level (at the xi of E = -0.3) and walks
     down in steps of ``_XI_STEP``, refining every sign change of the cross
-    form with brentq to ``_XI_TOL``.  Roots come out ordered by decreasing
+    form with brentq to ``XI_TOL``.  Roots come out ordered by decreasing
     xi = increasing energy.  In the channel that carries the regular tower
     (sigma matching the sign of alpha, and the repelled spin for alpha > 0)
     the n-th entry is the shell counterpart of the point-flux level with
@@ -185,7 +186,7 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
             if w_prev == 0.0:
                 root, iters = xi_prev, 0
             else:
-                root, iters = brentq(w_of_xi, xi_cur, xi_prev, xtol=_XI_TOL)
+                root, iters = brentq(w_of_xi, xi_cur, xi_prev, xtol=XI_TOL)
             w, scale = w_pair(root)
             residual = abs(w) / scale if scale > 0.0 else abs(w)
             results.append(MatchResult(root, model.energy_from_xi(root), model.radius,

@@ -10,24 +10,21 @@ The evaluation strategy for U follows the classical regime split:
 
 * ``a`` exactly a nonpositive integer ``-n``: polynomial branch
   U(-n, b, z) = (-1)^n n! L_n^{b-1}(z)   [DLMF 13.6.27]
-* small z (z <= 8): the connection formula [DLMF 13.2.42] summed uniformly in
-  b, which is the log series [DLMF 13.2.9] at integer b; for a > 1.5 and
-  z > 1.5 at a - ceil(a - 1.5), carried up by Miller's backward ratios of
-  [DLMF 13.3.7]
+* small z (z <= 1.5): the connection formula [DLMF 13.2.42] summed uniformly
+  in b, which is the log series [DLMF 13.2.9] at integer b
 * large z (z > 50): the divergent asymptotic series in 1/z with optimal
   truncation [DLMF 13.7.3], accepted only when the smallest term certifies
   a relative error below 1e-9
 * everything else: Miller's backward recurrence in a [DLMF 13.3.7] at
   b0 = b - floor(b) + 1 in [1, 2), normalized by
   sum_n (a)_n (a-b+1)_n / n! U(a+n, b, z) = z^-a (Temme, Numer. Math. 41,
-  1983, 63-82), then carried up in b by [DLMF 13.3.10] and [DLMF 13.3.8],
-  which is stable in that direction because U is dominant as b -> infinity.
+  1983, 63-82), then carried up in b with U(a+1, b) [DLMF 13.3.9, 13.3.10],
+  stable in that direction because U is dominant as b -> infinity.
 
 ``kummer_u_pair`` gives U and dU/dz = -a U(a+1, b+1, z) [DLMF 13.3.22] from
 the same pass on every route: the Laguerre derivative, the series summed with
-the exponents of their powers of z, the gap route's ratio U(a+1, b)/U(a, b)
-with [DLMF 13.3.10], U(a, b) - U(a, b+1) from the two ends of Miller's carry
-in b, and the product rule through the b < 1 lift.  ``kummer_u`` is its first
+the exponents of their powers of z, U(a+1, b+1) from Miller's carry in b,
+and the product rule through the b < 1 lift.  ``kummer_u`` is its first
 element.  ``kummer_m_pair`` does the same for M from one Taylor sum.
 
 All functions are pure and thread-safe; their caches (Gauss-Laguerre rules,
@@ -65,8 +62,10 @@ SERIES_CAP = 2000
 SERIES_EPS = 1e-16
 
 # Branch thresholds for kummer_u (see module docstring).
-_Z_SMALL = 8.0
+_Z_SERIES = 1.5
 _Z_ASYM = 50.0
+#: -ln of the double-precision epsilon: the e-folds ``_miller_height`` asks of each error term.
+_E_FOLDS = -math.log(math.ulp(1.0))
 
 
 class DomainError(ValueError):
@@ -331,7 +330,8 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, float, bool]:
     """Poincare expansion U ~ z^-a * 2F0(a, a-b+1; ; -1/z) with optimal truncation.
 
     Returns (value, dU/dz, ok), the derivative summed term by term: the k-th
-    term, a power z^(-a-k), takes a factor -(a + k) / z.  ok is False when the
+    term, a power z^(-a-k), takes a factor -(a + k) / z.  Both sums run to
+    SERIES_EPS of their own size (dU/dz vanishes with a).  ok is False when the
     smallest term cannot certify ~1e-9 relative accuracy of the value, in
     which case the caller falls through to Miller's recurrence.
     """
@@ -347,7 +347,7 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, float, bool]:
         s += nxt
         ds -= (a + k + 1.0) * nxt
         term = nxt
-        if abs(term) <= SERIES_EPS * abs(s):
+        if abs(term) <= SERIES_EPS * abs(s) and abs((a + k + 1.0) * nxt) <= SERIES_EPS * abs(ds):
             smallest = abs(term)
             break
     ok = smallest <= 1e-9 * max(abs(s), 1e-300)
@@ -356,25 +356,27 @@ def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, float, bool]:
 
 
 def _miller_height(a: float, z: float) -> int:
-    """Steps above a (above a - ceil(a) for a <= 0) at which Miller's backward
-    recurrence in a starts.
+    """Index i, counted from a' = a - ceil(a), at which ``_u_miller`` starts,
+    so that both of its error terms fall below e^-L, L = ``_E_FOLDS``.
 
-    Started at a + N, the ratios' start error falls like
-    exp(-4 (sqrt((a + N) z) - sqrt(a z))), and the normalization sum of
-    ``_u_miller`` has a tail like exp(-2 sqrt(N z)) times a power of N; both
-    call for more steps at small z and large a.
+    The solutions of DLMF 13.3.7 in c go like exp(-+2 sqrt(c z)) / Gamma(c)
+    (DLMF §13.8(iii)), so the ratios read at a + 1 are off by
+    exp(-4 (sqrt(c z) - sqrt((a+1) z))) from c = a' + i.  The same form puts
+    the i-th term of the normalization sum, whose start errors are of its own
+    size, below sqrt(pi) |1/Gamma(a')| z^(a'-1/4) i^(a'-5/4) exp(z/2 - 2 sqrt(i z))
+    of the sum z^-a' (b0 in [1, 2); |1/Gamma| < 1 on (-2, 0]).  Two fixed-point
+    steps in sqrt(i), started above the root of bound = e^-L, end above it.
     """
-    return int(600.0 / z) + 20 + int(4.0 * math.sqrt(max(a, 0.0) * 600.0 / z))
-
-
-def _ratio_height(a: float, z: float) -> int:
-    """Steps above a at which the gap route's backward ratios start.
-
-    The ratios alone need no normalization tail: their start error falls like
-    exp(-4 (sqrt((a + N) z) - sqrt(a z))), below e^-39 from
-    N = 96/z + 20 sqrt(a/z) on; five more steps cover the prefactor.
-    """
-    return int(96.0 / z + 20.0 * math.sqrt(a / z)) + 5
+    a0, rz = a - math.ceil(a), 2.0 * math.sqrt(z)
+    top = (math.sqrt(max(a + 1.0, 0.0)) + 0.5 * _E_FOLDS / rz) ** 2 - a0
+    r = math.sqrt(math.pi) * abs(rgamma(a0))
+    k = _E_FOLDS + 0.5 * z + (a0 - 0.25) * math.log(z) + math.log(r) if r else 0.0
+    if k > rz:  # else the bound is below e^-L from i = 1 on
+        x = k / rz
+        for _ in range(2):
+            x = (k - (2.5 - 2.0 * a0) * math.log(x)) / rz
+        top = max(top, x * x)
+    return math.ceil(top)
 
 
 def _u_miller(a: float, b: float, z: float) -> tuple[float, float]:
@@ -382,39 +384,37 @@ def _u_miller(a: float, b: float, z: float) -> tuple[float, float]:
 
     At b0 = b - floor(b) + 1 in [1, 2) the recurrence
     U(c-1) = (2c - b0 + z) U(c) - c (c - b0 + 1) U(c+1) runs down from
-    ``_miller_height`` steps above the larger of a and a' = a - ceil(a) to
-    the base a - max(ceil(a), 1), which is stable because U is the recessive
-    solution as c -> +infinity.  Down to a' in (-1, 0] the same pass sums
+    ``_miller_height`` steps above a' = a - ceil(a) in (-1, 0] to the lower
+    of a' and a, which is stable because U is the recessive solution as
+    c -> +infinity.  Down to a' the same pass sums
     sum_n (a')_n (a'-b0+1)_n / n! U(a'+n, b0, z) = z^-a' (DLMF 13.4.4 and
     the binomial series; Temme, Numer. Math. 41, 1983), which fixes the
     scale; started far below 0 that sum would cancel.  The pass reads
-    U(a-1, b0) and U(a, b0); z U(a, b0+1) = (b0 - a) U(a, b0) + U(a-1, b0)
-    [DLMF 13.3.10] gives the next b, and [DLMF 13.3.8] carries U up to b,
-    stably, as U is dominant as b -> infinity.  The carry ends on U(a, b)
-    and U(a, b+1), and dU/dz = U(a, b) - U(a, b+1) [DLMF 13.3.9, 13.3.22].
-    Its dominant part carries a factor 1/Gamma(a), so next to a = -n at
-    large b the steps in b lose digits.
+    U(a, b0) and U(a+1, b0), and the pair climbs to b by
+    z U(a+1, b+1) = (b - a - 1) U(a+1, b) + U(a, b) [DLMF 13.3.10] and
+    U(a, b+1) = U(a, b) + a U(a+1, b+1) [DLMF 13.3.9], stably, as U is
+    dominant as b -> infinity, so dU/dz = -a U(a+1, b+1) keeps its factor a.
+    The climb's dominant part carries 1/Gamma(a): next to a = -n at large b
+    the steps in b lose digits.
     """
-    k = max(math.ceil(a), 1)
-    base, b0 = a - k, b - (math.floor(b) - 1)
-    n0 = k - math.ceil(a)  # the index of a'
-    u_hi, u, s = 0.0, 1.0, 1.0  # f_{n+1}, f_n and the normalization sum from n up
-    ua = ua1 = 0.0  # f_k and f_{k-1}: U(a, b0) and U(a-1, b0), unscaled
-    for n in range(max(k, n0) + _miller_height(a, z), 0, -1):
-        c = base + n
-        u_hi, u = u, (2.0 * c - b0 + z) * u - c * (c - b0 + 1.0) * u_hi
-        if n > n0:
-            s = u + (c - 1.0) * (c - b0) / (n - n0) * s
-        if n == k:
-            ua, ua1 = u_hi, u
-        if abs(u) > 1e250:
-            u_hi, u, s, ua, ua1 = u_hi * 1e-250, u * 1e-250, s * 1e-250, ua * 1e-250, ua1 * 1e-250
-    lo, hi = ua, ((b0 - a) * ua + ua1) / z  # U(a, b0), U(a, b0 + 1)
+    j = math.ceil(a)
+    a0, b0 = a - j, b - (math.floor(b) - 1)  # a' in (-1, 0], b0 in [1, 2)
+    f1, f, s = 0.0, 1.0, 1.0  # f_{i+1}, f_i and the normalization sum from i up
+    u = v = 0.0  # f_j and f_{j+1}: U(a, b0) and U(a+1, b0), unscaled
+    for i in range(_miller_height(a, z), min(j, 0), -1):
+        c = a0 + i
+        f1, f = f, (2.0 * c - b0 + z) * f - c * (c - b0 + 1.0) * f1
+        if i > 0:
+            s = f + (c - 1.0) * (c - b0) / i * s
+        if i == j + 1:
+            u, v = f, f1
+        if abs(f) > 1e250:
+            f1, f, s, u, v = f1 * 1e-250, f * 1e-250, s * 1e-250, u * 1e-250, v * 1e-250
     for i in range(math.floor(b) - 1):
-        c = b0 + 1.0 + i
-        lo, hi = hi, ((c + z - 1.0) * hi - (c - a - 1.0) * lo) / z
-    za = z ** -(base + n0)
-    val, der = (lo * za / s, (lo - hi) * za / s) if s else (math.inf, math.inf)
+        v = ((b0 + i - a - 1.0) * v + u) / z
+        u += a * v
+    za = z ** -a0 / s if s else math.inf
+    val, der = u * za, -a * ((b - a - 1.0) * v + u) / z * za
     if not (math.isfinite(val) and math.isfinite(der)):
         raise ConvergenceError(f"kummer_u recurrence route failed at a={a}, b={b}, z={z}")
     return val, der
@@ -432,11 +432,11 @@ def kummer_u(a: float, b: float, z: float) -> float:
 
     Accuracy, audited against mpmath.hyperu for a in [-6.3, 6.7], b in [1, 6]
     (b < 1 after the lift to a-b+1, 2-b) and z in [1e-3, 200], next to integer
-    a and b too: below 1e-8 relative away from the zeros of U.  With a at
-    least 0.02 off an integer, the same holds for a in [6.7, 40] at
-    1.5 < z <= 50 (b in [1, 6]) and for b in [6, 40] at 8 < z <= 50
-    (a in [-6.3, 6.7]).  Outside that box, next to a = -n at large b and
-    8 < z <= 50, Miller's steps in b lose digits: 4e-2 relative at
+    a and b too: below 1e-8 relative away from the zeros of U.  The same
+    holds for a in [6.7, 40] at 1.5 < z <= 50 (b in [1, 6]), a at least 0.02
+    off an integer, and for b in [6, 40] at 8 < z <= 50 (a in [-6.3, 6.7]),
+    a at least 1e-6 off a nonpositive integer -n.  Closer to a = -n at large
+    b, Miller's steps in b lose digits: 1e-3 relative at
     (-1 - 1e-15, 73.456, 22.172).  This is the first element of
     ``kummer_u_pair``.
 
@@ -459,16 +459,15 @@ def kummer_u_pair(a: float, b: float, z: float) -> tuple[float, float]:
 
     * polynomial: d/dz L_n^{b-1} (``laguerre_deriv``);
     * small-z series: its terms are powers of z, summed with their exponents;
-    * gap: the ratio U(a+1, b) / U(a, b) of the chain, and
-      z U(a+1, b+1) = U(a, b) - (a - b + 1) U(a+1, b) [DLMF 13.3.10];
-    * Miller: U(a, b) - U(a, b+1), both ends of the carry in b;
+    * Miller: -a U(a+1, b+1), U(a+1, b) carried up in b next to U(a, b);
     * asymptotic: the series differentiated term by term;
     * b < 1: the product rule on z^(1-b) U(a-b+1, 2-b, z).
 
     dU/dz is audited against mpmath to 1e-8 relative on one cloud per route
-    in ``kummer_u``'s box, a at least 0.02 off an integer (dU/dz vanishes at
-    a = 0 and next to the zeros of U(a+1, b+1, z)).  Next to the lattice its
-    error stays below 1e-13 of |U| + |dU/dz|.
+    in ``kummer_u``'s box, a at least 0.02 off an integer (dU/dz vanishes
+    next to the zeros of U(a+1, b+1, z)), and on a cloud next to a = 0,
+    where it vanishes with a.  Next to a = -n its error stays below 1e-13 of
+    |U| + |dU/dz|.
     """
     _require_finite("kummer_u", a, b, z)
     if z <= 0.0:
@@ -486,19 +485,8 @@ def kummer_u_pair(a: float, b: float, z: float) -> tuple[float, float]:
         val, der, ok = _u_asymptotic(a, b, z)
         if ok:
             return val, der
-    if z <= _Z_SMALL:
-        if a <= 1.5 or z <= 1.5:
-            return _u_series(a, b, z)
-        k = math.ceil(a - 1.5)
-        u, r = _u_series(a - k, b, z)[0], 0.0
-        for i in range(k + _ratio_height(a, z), -1, -1):
-            c = a - k + i
-            r = 1.0 / (2.0 * c + 2.0 - b + z - (c + 1.0) * (c + 2.0 - b) * r)
-            if i < k:
-                u *= r
-            elif i == k:
-                rk = r  # U(a+1, b) / U(a, b)
-        return u, a * ((a - b + 1.0) * rk - 1.0) * u / z
+    if z <= _Z_SERIES:
+        return _u_series(a, b, z)
     return _u_miller(a, b, z)
 
 

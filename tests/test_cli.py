@@ -201,10 +201,12 @@ def test_regularize_with_oracle_verification(capsys):
                           "--R", "0.2", "--nmax", "1", "--verify"], capsys)
     assert rc == 0
     header, rows = parse_csv(out)
-    i = header.index("match_minus_oracle")
+    i, j = header.index("match_minus_oracle"), header.index("deviation")
     for r in rows:
         assert r[-1] == ""  # no notes
         assert abs(float(r[i])) <= 1e-6
+        # printed to the absolute tolerances of the oracle (1e-12) and of the roots (1e-13)
+        assert float(r[i]) == round(float(r[i]), 12) and float(r[j]) == round(float(r[j]), 13)
 
 
 def test_regularize_bad_radii(capsys):

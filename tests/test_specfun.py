@@ -6,10 +6,11 @@ Reference values were produced once with
 
 and pasted here, so the tests never import the library they are checking
 against at runtime.  The U grid is chosen to force every internal branch:
-the small-z series at non-integer and at integer b, Miller's recurrence in
-a at 8 < z <= 50 (a > 0 and a <= 0), the large-z asymptotic series, and the
-b < 1 lift.  The U grid with dU/dz = -a U(a+1, b+1, z) adds the polynomial
-branch and the ratio chain for a > 1.5 at 1.5 < z <= 8.  The M grid with
+the small-z series (z <= 1.5) at non-integer and at integer b, Miller's
+recurrence in a at 1.5 < z <= 50 (a > 0 and a <= 0), the large-z asymptotic
+series, and the b < 1 lift.  The U grid with dU/dz = -a U(a+1, b+1, z) adds
+the polynomial branch, large a at 1.5 < z <= 8, and points just above the
+route boundary z = 1.5.  The M grid with
 dM/dz runs the direct sum and both routes to the Kummer transformation
 (z < -30, and a cancelling sum at -30 <= z < 0).
 """
@@ -43,14 +44,15 @@ from fluxtube.specfun import (
 
 # (a, b, z, U(a,b,z)) — branch noted per block
 U_REFERENCE = [
-    # z <= 8, non-integer b: the small-z series
+    # z <= 8, non-integer b: the small-z series at z <= 1.5, Miller's recurrence above
     (0.3, 1.5, 0.5, 1.3237376507795524),
     (-0.7, 2.3, 3.0, 1.1004113327870426),
     (1.7, 1.25, 7.5, 0.024936630643326486),
     (0.37, 1.5, 0.0001, 74.162472433989319),
     (-0.6, 2.2, 0.001, -996.11044051028896),
     (2.4, 3.8, 0.02, 77490.567870763976),
-    # z <= 8, integer b: the same series at eps = 0, the log series
+    # z <= 8, integer b: the log series (the same series at eps = 0) at z <= 1.5,
+    # Miller's recurrence above
     (0.3, 1.0, 0.5, 1.1205751915782955),
     (0.45, 2.0, 2.0, 0.81255921696567776),
     (1.2, 3.0, 5.0, 0.17178557580068248),
@@ -84,20 +86,25 @@ U_PAIR_REFERENCE = [
     (0.0, 2.5, 3.0, 1.0, 0.0),
     (-3.0, 1.7, 4.2, -12.825000000000002, -10.349999999999999),
     (-2.0, 3.0, 60.0, 3132.0, 112.0),
-    # z <= 8, non-integer b: the small-z series
+    # z <= 8, non-integer b: the small-z series at z <= 1.5, Miller's recurrence above
     (0.3, 1.5, 0.5, 1.3237376507795524, -0.92864910474438357),
     (-0.7, 2.3, 3.0, 1.1004113327870426, 0.62596383222374022),
     (2.4, 3.8, 0.02, 77490.567870763976, -1.0831769522845043e+7),
     (0.37, 1.5, 0.0001, 74.162472433989319, -368725.3072382175),
-    # z <= 8, integer b: the same series at eps = 0
+    # z <= 8, integer b: the same series at eps = 0 at z <= 1.5, Miller's recurrence above
     (0.3, 1.0, 0.5, 1.1205751915782955, -0.53713329809040571),
     (1.2, 3.0, 5.0, 0.17178557580068248, -0.046426785965016218),
     (-0.8, 2.0, 1.0, -0.54894800404223012, 1.2141305239051332),
-    # a > 1.5 at 1.5 < z <= 8: the series at a - k, carried up by the ratio chain
+    # large a at 1.5 < z <= 8: Miller's recurrence
     (3.3, 1.7, 4.0, 0.0027556287446949919, -0.0016500636917381248),
     (20.5, 2.5, 3.0, 5.1604733504963859e-24, -1.253283065839607e-23),
     (35.68, 4.95, 1.6, 1.3282246988768835e-43, -7.4733383690688604e-43),
-    # 8 < z <= 50: Miller's recurrence in a
+    # z = nextafter(1.5, inf), the first z of Miller's recurrence
+    (-2.5, 2.3, 1.5000000000000002, 4.5345041133030871, -2.7765057603421966),
+    (0.7, 1.4, 1.5000000000000002, 0.68481980486177933, -0.28763009493657137),
+    (6.3, 3.7, 1.5000000000000002, 0.00049106211396365343, -0.0012527553501518938),
+    (35.68, 4.95, 1.5000000000000002, 2.3609632626000648e-43, -1.3888979044499815e-42),
+    # 8 < z <= 50: the same recurrence
     (0.3, 1.5, 12.0, 0.47679003343119821, -0.012102709844121774),
     (1.7, 3.0, 20.0, 0.006291013267164727, -5.4192287341953624e-4),
     (-2.3, 2.0, 30.0, 1896.4309263117118, 164.36422826421399),
@@ -319,7 +326,7 @@ def test_non_finite_arguments_are_domain_errors(bad):
 
 
 def test_non_finite_laplace_integral_is_a_convergence_error():
-    # z in (8, 50] runs Miller's recurrence; carried up to b = 800 it
+    # z in (1.5, 50] runs Miller's recurrence; carried up to b = 800 it
     # overflows, as U ~ Gamma(799) 20^-799 does
     for a in (0.5, -2.5):
         with pytest.raises(ConvergenceError):

@@ -7,8 +7,8 @@ widened to a in [6.7, 40] at 1.5 < z <= 50 and to b in [6, 40] at
 8 < z <= 50.  Most draw a at least 0.02 off an integer, since U has a zero
 next to each a = -n; three probe a or b just off an integer, on either side.
 The derivative dU/dz of ``kummer_u_pair`` is held to the same 1e-8 on one
-cloud per route; it vanishes at a = 0, so next to the lattice it is held
-relative to |U| + |dU/dz| instead.
+cloud per route and on a cloud next to a = 0, relative to dU/dz itself; next
+to a = -n it is held relative to |U| + |dU/dz| instead.
 """
 
 import math
@@ -24,8 +24,9 @@ TOL = 1e-8
 POINTS = 60
 A_LO, A_HI = -6.3, 6.7
 A_LARGE, B_LARGE = 40.0, 40.0  # the widened box
-A_SERIES = 1.5  # small z: above this a and z, kummer_u recurs up from a lower a
-Z_SMALL, Z_ASYM = 8.0, 50.0  # kummer_u branch thresholds
+A_SERIES = 1.5  # the clouds below Z_SMALL split a here
+Z_SERIES, Z_ASYM = 1.5, 50.0  # kummer_u branch thresholds
+Z_SMALL = 8.0  # the clouds split z here: the large-b box starts above it
 
 
 def rel_err(a, b, z):
@@ -99,12 +100,19 @@ def b_near_int(rng):
     return off_int(rng, A_LO, A_HI), rng.randint(1, 6) + step, rng.uniform(1e-3, Z_SMALL)
 
 
+def next_to_a_zero(rng):
+    # dU/dz = -a U(a+1, b+1, z) carries the factor a on every route
+    a = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-16, -6)
+    return a, b_off_int(rng), rng.uniform(1e-3, 200)
+
+
 def lifted_b_below_one(rng):
     # U(a, b, z) = z^{1-b} U(a-b+1, 2-b, z): draw the lifted a, then undo the lift
     b = off_int(rng, -2, 1)
     return off_int(rng, A_LO, A_HI) + b - 1.0, b, rng.uniform(1e-3, 200)
 
 
+ABOVE_1_5 = math.nextafter(Z_SERIES, math.inf)
 ABOVE_8 = math.nextafter(Z_SMALL, math.inf)
 ABOVE_50 = math.nextafter(Z_ASYM, math.inf)
 CLOUDS = {
@@ -116,6 +124,8 @@ CLOUDS = {
     "connection_z_le_1.5": box(A_HI, b_off_int, z_in(1e-3, 1.5)),
     "b_near_integer": b_near_int,
     "log_series_integer_b": box(A_HI, b_int, z_in(1e-3, Z_SMALL)),
+    "edge_z_1.5": box(A_HI, b_off_int, z_at(Z_SERIES)),
+    "edge_above_z_1.5": box(A_LARGE, b_off_int, z_at(ABOVE_1_5)),
     "integer_b_large_z": box(A_HI, b_int, z_in(Z_SMALL, 200)),
     "edge_z_8": box(A_HI, b_off_int, z_at(Z_SMALL)),
     "edge_above_z_8": box(A_HI, b_off_int, z_at(ABOVE_8)),
@@ -127,6 +137,7 @@ CLOUDS = {
     "edge_above_z_50": box(A_HI, b_off_int, z_at(ABOVE_50)),
     "asymptotic": box(A_HI, b_off_int, z_in(Z_ASYM, 200)),
     "b_below_one": lifted_b_below_one,
+    "next_to_a_zero": next_to_a_zero,
 }
 
 
@@ -138,18 +149,22 @@ def test_kummer_u_meets_documented_accuracy(name):
     assert worst <= TOL, f"{name}: relative error {worst:.2e} at (a, b, z) = {where}"
 
 
-#: One cloud per route of kummer_u_pair, by the route that gives the derivative.
+#: One cloud per route of kummer_u_pair, by the route that gives the derivative,
+#: plus the edge between the series and Miller's recurrence, and a next to 0.
 DERIV_CLOUDS = {
     "polynomial": "polynomial",
     "series_noninteger_b": "connection_a_le_1.5",
     "series_integer_b": "log_series_integer_b",
     "series_b_near_integer": "b_near_integer",
-    "gap": "connection_a_gt_1.5",
-    "gap_large_a": "large_a_gap",
+    "series_edge_z_1.5": "edge_z_1.5",
+    "miller_edge_above_z_1.5": "edge_above_z_1.5",
+    "miller_small_z": "connection_a_gt_1.5",
+    "miller_small_z_large_a": "large_a_gap",
     "miller": "laplace",
     "miller_large_b": "large_b_mid_z",
     "asymptotic": "asymptotic",
     "b_below_one": "b_below_one",
+    "next_to_a_zero": "next_to_a_zero",
 }
 
 
@@ -177,6 +192,35 @@ def test_kummer_u_pair_derivative_next_to_the_lattice(name):
                    "large b: 4.0e-2 relative, outside the documented box")
 def test_recurrence_route_next_to_the_lattice_at_large_b():
     assert rel_err(-1.0 - 1e-15, 73.456, 22.172) <= TOL
+
+
+def test_derivative_next_to_a_zero_on_the_recurrence_route():
+    # dU/dz = -a U(a+1, b+1, z) vanishes with a: read as U(a, b) - U(a, b+1) it would cancel
+    a = 2.4e-16
+    with mpmath.workdps(40):
+        ref = float(-a * mpmath.hyperu(mpmath.mpf(a) + 1, 3.82, 19.55))
+    assert kummer_u_pair(a, 2.82, 19.55)[1] == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.6, 0.8, 1.0, 1.2, 1.35, 1.45])
+@pytest.mark.parametrize("z", [6.0, 7.0, 8.0])
+def test_full_digits_next_to_z_8(a, z):
+    # 1.5 < z <= 8 runs Miller's recurrence: the small-z series would keep
+    # only about 1e-9 here
+    for b in (1.0, 1.5, 2.0, 2.5, 3.0):
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyperu(a, b, z))
+            dref = float(-a * mpmath.hyperu(a + 1, b + 1, z))
+        u, du = kummer_u_pair(a, b, z)
+        assert u == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert du == pytest.approx(dref, rel=1e-12, abs=0.0)
+
+
+def test_recurrence_route_at_the_edge_of_the_large_b_box():
+    # b in [6, 40] at 8 < z <= 50 holds 1e-8 down to |a + n| = 1e-6 (docstring box)
+    with mpmath.workdps(50):
+        ref = float(mpmath.hyperu(-6.000001, 40.0, 9.0))
+    assert abs(kummer_u(-6.000001, 40.0, 9.0) - ref) <= TOL * abs(ref)
 
 
 def test_large_a_gap_spares_some_points():
