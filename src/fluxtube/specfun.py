@@ -6,20 +6,19 @@ generalized Laguerre polynomials, and the gamma-function helpers they need.
 Everything downstream in this package routes its special-function needs
 through this module.
 
-The evaluation strategy for U follows the classical regime split:
+U is evaluated on these routes; off the lattice, z = 1.5 is the only threshold:
 
 * ``a`` exactly a nonpositive integer ``-n``: polynomial branch
   U(-n, b, z) = (-1)^n n! L_n^{b-1}(z)   [DLMF 13.6.27]
-* small z (z <= 1.5): the connection formula [DLMF 13.2.42] summed uniformly
-  in b, which is the log series [DLMF 13.2.9] at integer b
-* large z (z > 50): the divergent asymptotic series in 1/z with optimal
-  truncation [DLMF 13.7.3], accepted only when the smallest term certifies
-  a relative error below 1e-9
-* everything else: Miller's backward recurrence in a [DLMF 13.3.7] at
+* z <= 1.5: the connection formula [DLMF 13.2.42] summed uniformly in b,
+  which is the log series [DLMF 13.2.9] at integer b
+* z > 1.5: Miller's backward recurrence in a [DLMF 13.3.7] at
   b0 = b - floor(b) + 1 in [1, 2), normalized by
   sum_n (a)_n (a-b+1)_n / n! U(a+n, b, z) = z^-a (Temme, Numer. Math. 41,
   1983, 63-82), then carried up in b with U(a+1, b) [DLMF 13.3.9, 13.3.10],
-  stable in that direction because U is dominant as b -> infinity.
+  stable in that direction because U is dominant as b -> infinity
+* b < 1: the lift U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z) [DLMF 13.2.40]
+  onto b >= 1, then one of the routes above
 
 ``kummer_u_pair`` gives U and dU/dz = -a U(a+1, b+1, z) [DLMF 13.3.22] from
 the same pass on every route: the Laguerre derivative, the series summed with
@@ -61,9 +60,8 @@ SERIES_CAP = 2000
 #: Terminate a convergent series when |term| < SERIES_EPS * |partial sum|.
 SERIES_EPS = 1e-16
 
-# Branch thresholds for kummer_u (see module docstring).
+#: kummer_u sums its series at z <= _Z_SERIES and runs Miller's recurrence above it.
 _Z_SERIES = 1.5
-_Z_ASYM = 50.0
 #: -ln of the double-precision epsilon: the e-folds ``_miller_height`` asks of each error term.
 _E_FOLDS = -math.log(math.ulp(1.0))
 
@@ -224,10 +222,12 @@ def kummer_m(a: float, b: float, z: float) -> float:
 
     Notes
     -----
-    Designed for |z| <= 400 at ~1e-10 relative accuracy. The series cap is
-    2000 terms; hitting it raises ConvergenceError rather than returning a
-    silent partial sum.  Non-finite arguments raise DomainError.  This is
-    the first element of ``kummer_m_pair``.
+    Audited against mpmath.hyp1f1 for a in [-6.3, 6.7], b in [1, 7] and
+    |z| <= 400: below 1e-10 relative, and dM/dz of ``kummer_m_pair`` below
+    1e-10 of |M| + |dM/dz|.  The series cap is 2000 terms; hitting it raises
+    ConvergenceError rather than returning a silent partial sum.  Non-finite
+    arguments raise DomainError.  This is the first element of
+    ``kummer_m_pair``.
     """
     return kummer_m_pair(a, b, z)[0]
 
@@ -326,35 +326,6 @@ def _u_series(a: float, b: float, z: float) -> tuple[float, float]:
     raise ConvergenceError(f"kummer_u series cap at a={a}, b={b}, z={z}")
 
 
-def _u_asymptotic(a: float, b: float, z: float) -> tuple[float, float, bool]:
-    """Poincare expansion U ~ z^-a * 2F0(a, a-b+1; ; -1/z) with optimal truncation.
-
-    Returns (value, dU/dz, ok), the derivative summed term by term: the k-th
-    term, a power z^(-a-k), takes a factor -(a + k) / z.  Both sums run to
-    SERIES_EPS of their own size (dU/dz vanishes with a).  ok is False when the
-    smallest term cannot certify ~1e-9 relative accuracy of the value, in
-    which case the caller falls through to Miller's recurrence.
-    """
-    s = 1.0
-    ds = -a
-    term = 1.0
-    smallest = math.inf
-    for k in range(SERIES_CAP):
-        nxt = term * (a + k) * (a - b + 1.0 + k) / (-(k + 1.0) * z)
-        if abs(nxt) >= abs(term) and k > 2:
-            smallest = abs(nxt)
-            break
-        s += nxt
-        ds -= (a + k + 1.0) * nxt
-        term = nxt
-        if abs(term) <= SERIES_EPS * abs(s) and abs((a + k + 1.0) * nxt) <= SERIES_EPS * abs(ds):
-            smallest = abs(term)
-            break
-    ok = smallest <= 1e-9 * max(abs(s), 1e-300)
-    za = z ** (-a)
-    return za * s, za * ds / z, ok
-
-
 def _miller_height(a: float, z: float) -> int:
     """Index i, counted from a' = a - ceil(a), at which ``_u_miller`` starts,
     so that both of its error terms fall below e^-L, L = ``_E_FOLDS``.
@@ -433,8 +404,8 @@ def kummer_u(a: float, b: float, z: float) -> float:
     Accuracy, audited against mpmath.hyperu for a in [-6.3, 6.7], b in [1, 6]
     (b < 1 after the lift to a-b+1, 2-b) and z in [1e-3, 200], next to integer
     a and b too: below 1e-8 relative away from the zeros of U.  The same
-    holds for a in [6.7, 40] at 1.5 < z <= 50 (b in [1, 6]), a at least 0.02
-    off an integer, and for b in [6, 40] at 8 < z <= 50 (a in [-6.3, 6.7]),
+    holds for a in [6.7, 40] at 1.5 < z <= 200 (b in [1, 6]), a at least 0.02
+    off an integer, and for b in [6, 40] at 8 < z <= 200 (a in [-6.3, 6.7]),
     a at least 1e-6 off a nonpositive integer -n.  Closer to a = -n at large
     b, Miller's steps in b lose digits: 1e-3 relative at
     (-1 - 1e-15, 73.456, 22.172).  This is the first element of
@@ -460,7 +431,6 @@ def kummer_u_pair(a: float, b: float, z: float) -> tuple[float, float]:
     * polynomial: d/dz L_n^{b-1} (``laguerre_deriv``);
     * small-z series: its terms are powers of z, summed with their exponents;
     * Miller: -a U(a+1, b+1), U(a+1, b) carried up in b next to U(a, b);
-    * asymptotic: the series differentiated term by term;
     * b < 1: the product rule on z^(1-b) U(a-b+1, 2-b, z).
 
     dU/dz is audited against mpmath to 1e-8 relative on one cloud per route
@@ -481,10 +451,6 @@ def kummer_u_pair(a: float, b: float, z: float) -> tuple[float, float]:
         n = int(-a)
         c = (-1.0) ** n * math.factorial(n)
         return c * float(laguerre(n, b - 1.0, z)), c * float(laguerre_deriv(n, b - 1.0, z))
-    if z > _Z_ASYM:
-        val, der, ok = _u_asymptotic(a, b, z)
-        if ok:
-            return val, der
     if z <= _Z_SERIES:
         return _u_series(a, b, z)
     return _u_miller(a, b, z)

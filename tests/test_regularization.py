@@ -67,6 +67,23 @@ def test_deviation_shrinks_with_radius():
         assert row.deviation == pytest.approx(row.xi + row.n)
 
 
+@pytest.mark.parametrize("alpha, m, sigma", [
+    (0.4, -1, 0.5), (0.9, -2, 0.5), (-0.3, 2, -0.5),  # kappa != nu
+    (0.4, 0, 0.5), (0.4, 1, 0.5), (1.3, 0, 0.5),  # kappa == nu
+])
+def test_deviation_shrinks_at_the_order_of_the_small_r_law(alpha, m, sigma):
+    # psi_in'/psi_in = |m|/R + O(R) against U(xi, nu + 1, R^2) = Gamma(nu)/Gamma(xi) R^(-2 nu)
+    # + Gamma(-nu)/Gamma(xi - nu) + ... (DLMF 13.2.16-13.2.22) puts xi_n + n at
+    # (nu - kappa)/(nu + kappa) R^(2 nu) times a constant, nu = |m + alpha| and
+    # kappa = |m| + 2 sigma alpha; at kappa = nu that term cancels and R^(2 nu + 2) leads
+    nu, kappa = abs(m + alpha), abs(m) + 2.0 * sigma * alpha
+    order = 2.0 * nu + (2.0 if math.isclose(kappa, nu) else 0.0)
+    coarse, fine = (find_xi_roots(TubeModel(r, alpha, m, sigma)) for r in (0.025, 0.0125))
+    for n in range(3):
+        slope = math.log2(abs(coarse[n].xi + n) / abs(fine[n].xi + n))
+        assert slope == pytest.approx(order, abs=0.02), f"n = {n}"
+
+
 def test_shrunk_shell_matches_point_flux_energy():
     # R = 0.02: within 0.05 of the point-flux levels E = n + 3/2
     roots = find_xi_roots(TubeModel(0.02, 0.5, 0, 0.5), n_max=2)

@@ -7,8 +7,8 @@ Reference values were produced once with
 and pasted here, so the tests never import the library they are checking
 against at runtime.  The U grid is chosen to force every internal branch:
 the small-z series (z <= 1.5) at non-integer and at integer b, Miller's
-recurrence in a at 1.5 < z <= 50 (a > 0 and a <= 0), the large-z asymptotic
-series, and the b < 1 lift.  The U grid with dU/dz = -a U(a+1, b+1, z) adds
+recurrence in a at 1.5 < z <= 50 (a > 0 and a <= 0) and at z > 50, and the
+b < 1 lift.  The U grid with dU/dz = -a U(a+1, b+1, z) adds
 the polynomial branch, large a at 1.5 < z <= 8, and points just above the
 route boundary z = 1.5.  The M grid with
 dM/dz runs the direct sum and both routes to the Kummer transformation
@@ -69,7 +69,7 @@ U_REFERENCE = [
     (-2.3, 2.0, 30.0, 1896.4309263117118),
     (-1.5, 3.5, 15.0, 36.045210505928061),
     (-4.6, 1.0, 9.0, -1280.9025463670534),
-    # z > 50: asymptotic series with certified truncation
+    # z > 50: the same recurrence
     (0.3, 1.5, 80.0, 0.26877973570664942),
     (-0.7, 2.0, 120.0, 28.254968014183879),
     (1.9, 3.2, 400.0, 1.1394699750267783e-5),
@@ -109,7 +109,7 @@ U_PAIR_REFERENCE = [
     (1.7, 3.0, 20.0, 0.006291013267164727, -5.4192287341953624e-4),
     (-2.3, 2.0, 30.0, 1896.4309263117118, 164.36422826421399),
     (14.6, 2.0, 37.0, 2.240085936204746e-25, -6.9206280910793663e-26),
-    # z > 50: the asymptotic series
+    # z > 50: the same recurrence
     (0.3, 1.5, 80.0, 0.26877973570664942, -0.0010104100253318446),
     (-0.7, 2.0, 120.0, 28.254968014183879, 0.1671831339802805),
     (1.9, 3.2, 400.0, 1.1394699750267783e-5, -5.4165155779767751e-8),

@@ -1,22 +1,25 @@
-"""kummer_u against mpmath.hyperu: the accuracy contract in its docstring.
+"""kummer_u against mpmath.hyperu and kummer_m against mpmath.hyp1f1: the
+accuracy contracts in their docstrings.
 
 One seeded point cloud per branch of kummer_u and per branch edge, each held
 to the documented 1e-8 relative error.  The clouds span the audited box
 (a in [-6.3, 6.7], b in [1, 6] after the b < 1 lift, z in [1e-3, 200]),
-widened to a in [6.7, 40] at 1.5 < z <= 50 and to b in [6, 40] at
-8 < z <= 50.  Most draw a at least 0.02 off an integer, since U has a zero
+widened to a in [6.7, 40] at 1.5 < z <= 200 and to b in [6, 40] at
+8 < z <= 200.  Most draw a at least 0.02 off an integer, since U has a zero
 next to each a = -n; three probe a or b just off an integer, on either side.
 The derivative dU/dz of ``kummer_u_pair`` is held to the same 1e-8 on one
 cloud per route and on a cloud next to a = 0, relative to dU/dz itself; next
-to a = -n it is held relative to |U| + |dU/dz| instead.
+to a = -n it is held relative to |U| + |dU/dz| instead.  M is held to 1e-10
+relative on one cloud for each sign of z, and dM/dz to 1e-10 of |M| + |dM/dz|.
 """
 
+import functools
 import math
 import random
 
 import pytest
 
-from fluxtube.specfun import _rgamma_diff, kummer_u, kummer_u_pair
+from fluxtube.specfun import _rgamma_diff, kummer_m_pair, kummer_u, kummer_u_pair
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -25,20 +28,27 @@ POINTS = 60
 A_LO, A_HI = -6.3, 6.7
 A_LARGE, B_LARGE = 40.0, 40.0  # the widened box
 A_SERIES = 1.5  # the clouds below Z_SMALL split a here
-Z_SERIES, Z_ASYM = 1.5, 50.0  # kummer_u branch thresholds
+Z_SERIES = 1.5  # kummer_u's one threshold: the series below, Miller's recurrence above
 Z_SMALL = 8.0  # the clouds split z here: the large-b box starts above it
+Z_MID = 50.0  # and here: the mid-z clouds end, the large-z clouds start
+
+
+@functools.lru_cache(maxsize=None)
+def hyperu_ref(a, b, z):
+    """U from mpmath at 30 digits; the U and dU/dz audits of a cloud draw the same points."""
+    with mpmath.workdps(30):
+        return float(mpmath.hyperu(a, b, z))
 
 
 def rel_err(a, b, z):
-    with mpmath.workdps(30):
-        ref = float(mpmath.hyperu(a, b, z))
+    ref = hyperu_ref(a, b, z)
     return abs(kummer_u(a, b, z) - ref) / abs(ref)
 
 
 def deriv_err(a, b, z, scale_with_u=False):
     """Error of dU/dz = -a U(a+1, b+1, z), relative to |dU/dz| or to |U| + |dU/dz|."""
+    ref_u = hyperu_ref(a, b, z)
     with mpmath.workdps(30):
-        ref_u = float(mpmath.hyperu(a, b, z))
         ref = float(-a * mpmath.hyperu(a + 1, b + 1, z))
     scale = abs(ref) + abs(ref_u) if scale_with_u else abs(ref)
     err = abs(kummer_u_pair(a, b, z)[1] - ref)
@@ -114,7 +124,7 @@ def lifted_b_below_one(rng):
 
 ABOVE_1_5 = math.nextafter(Z_SERIES, math.inf)
 ABOVE_8 = math.nextafter(Z_SMALL, math.inf)
-ABOVE_50 = math.nextafter(Z_ASYM, math.inf)
+ABOVE_50 = math.nextafter(Z_MID, math.inf)
 CLOUDS = {
     "polynomial": polynomial,
     "just_off_lattice": just_off_lattice,
@@ -129,13 +139,15 @@ CLOUDS = {
     "integer_b_large_z": box(A_HI, b_int, z_in(Z_SMALL, 200)),
     "edge_z_8": box(A_HI, b_off_int, z_at(Z_SMALL)),
     "edge_above_z_8": box(A_HI, b_off_int, z_at(ABOVE_8)),
-    "laplace": box(A_HI, b_off_int, z_in(Z_SMALL, Z_ASYM)),  # Miller; the key seeds the draws
-    "large_b_mid_z": box(A_HI, b_large, z_in(Z_SMALL, Z_ASYM)),
-    "large_a_mid_z": box(A_LARGE, b_off_int, z_in(Z_SMALL, Z_ASYM), a_lo=A_HI),
+    "laplace": box(A_HI, b_off_int, z_in(Z_SMALL, Z_MID)),  # Miller; the key seeds the draws
+    "large_b_mid_z": box(A_HI, b_large, z_in(Z_SMALL, Z_MID)),
+    "large_a_mid_z": box(A_LARGE, b_off_int, z_in(Z_SMALL, Z_MID), a_lo=A_HI),
     "large_a_gap": box(A_LARGE, b_off_int, z_in(A_SERIES, Z_SMALL), a_lo=A_HI),
-    "edge_z_50": box(A_HI, b_off_int, z_at(Z_ASYM)),
+    "edge_z_50": box(A_HI, b_off_int, z_at(Z_MID)),
     "edge_above_z_50": box(A_HI, b_off_int, z_at(ABOVE_50)),
-    "asymptotic": box(A_HI, b_off_int, z_in(Z_ASYM, 200)),
+    "asymptotic": box(A_HI, b_off_int, z_in(Z_MID, 200)),  # Miller; the key seeds the draws
+    "large_b_large_z": box(A_HI, b_large, z_in(Z_MID, 200)),
+    "large_a_large_z": box(A_LARGE, b_off_int, z_in(Z_MID, 200), a_lo=A_HI),
     "b_below_one": lifted_b_below_one,
     "next_to_a_zero": next_to_a_zero,
 }
@@ -162,7 +174,9 @@ DERIV_CLOUDS = {
     "miller_small_z_large_a": "large_a_gap",
     "miller": "laplace",
     "miller_large_b": "large_b_mid_z",
-    "asymptotic": "asymptotic",
+    "miller_large_z": "asymptotic",
+    "miller_large_z_large_a": "large_a_large_z",
+    "miller_large_z_large_b": "large_b_large_z",
     "b_below_one": "b_below_one",
     "next_to_a_zero": "next_to_a_zero",
 }
@@ -189,7 +203,7 @@ def test_kummer_u_pair_derivative_next_to_the_lattice(name):
 
 
 @pytest.mark.xfail(strict=True, reason="Miller's steps in b lose digits next to a = -n at "
-                   "large b: 4.0e-2 relative, outside the documented box")
+                   "large b: 1.06e-3 relative, outside the documented box")
 def test_recurrence_route_next_to_the_lattice_at_large_b():
     assert rel_err(-1.0 - 1e-15, 73.456, 22.172) <= TOL
 
@@ -263,3 +277,27 @@ def test_rgamma_difference_quotient(x):
         for h in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-3, -1e-3, 0.5, -0.5, 1.0, -1.0):
             ref = float((mpmath.rgamma(X - h) - mpmath.rgamma(X)) / h) if h else slope
             assert _rgamma_diff(x, h) == pytest.approx(ref, rel=1e-13, abs=1e-13 * abs(slope))
+
+
+M_TOL = 1e-10
+M_BANDS = {"positive_z": (0.0, 400.0), "negative_z": (-400.0, 0.0)}
+
+
+@pytest.mark.parametrize("band", sorted(M_BANDS))
+def test_kummer_m_meets_documented_accuracy(band):
+    # M to 1e-10 relative; dM/dz = (a/b) M(a+1, b+1, z) vanishes with a, so it
+    # is held to 1e-10 of |M| + |dM/dz|
+    lo, hi = M_BANDS[band]
+    rng = random.Random(f"kummer_m audit {band}")
+    worst_m = worst_dm = (0.0, ())
+    for _ in range(POINTS):
+        a, b, z = rng.uniform(A_LO, A_HI), rng.uniform(1, 7), rng.uniform(lo, hi)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp1f1(a, b, z))
+            dref = float(a / mpmath.mpf(b) * mpmath.hyp1f1(a + 1, b + 1, z))
+        m, dm = kummer_m_pair(a, b, z)
+        worst_m = max(worst_m, (abs(m - ref) / abs(ref), (a, b, z)))
+        worst_dm = max(worst_dm, (abs(dm - dref) / (abs(ref) + abs(dref)), (a, b, z)))
+    assert worst_m[0] <= M_TOL, f"{band}: M relative error {worst_m[0]:.2e} at {worst_m[1]}"
+    assert worst_dm[0] <= M_TOL, \
+        f"{band}: dM/dz error {worst_dm[0]:.2e} of |M| + |dM/dz| at {worst_dm[1]}"
