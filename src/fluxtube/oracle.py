@@ -28,12 +28,16 @@ propagator matrix M_i(E).  The energy enters a step only through the
 constant c1 = 2 m_eff + 4 sigma - 4E, and every entry of M_i is a
 polynomial in c1 of degree at most two whose coefficients depend on the
 grid alone.  They are computed once for each region of the problem being
-shot (a memo of one problem, 0.93 MB at r_max = 12), and a shot evaluates
-them at its c1 by Horner's rule.  Within blocks of _BLOCK steps the
-propagators are swept up into tile products (G. E. Blelloch, "Prefix sums
-and their applications", CMU-CS-90-190, 1990).  The block totals carry
-(psi, phi) from block to block, renormalized once per block so that the
-amplitudes never leave floating-point range; D(E) needs nothing else.
+shot (a memo of one problem, 9 floats a step: 0.93 MB at r_max = 12), and
+a shot evaluates them at its c1 by Horner's rule.  Each region is swept in
+one numpy pass: within blocks of _BLOCK steps the propagators are swept up
+into tile products (G. E. Blelloch, "Prefix sums and their applications",
+CMU-CS-90-190, 1990), one array per level of the tree.  The block totals
+carry (psi, phi) from block to block, renormalized once per block so that
+the amplitudes never leave floating-point range; D(E) needs nothing else.
+A shot's own arrays peak while it sweeps its longest region, at about 9
+floats a step of it (0.85 MB at r_max = 12, h = 1e-3), the size of that
+region's memo.
 
 The node count needs psi only where no two zeros can fall between samples.
 With u = sqrt(r) psi the radial equation reads u'' + Q u = 0,
@@ -76,8 +80,8 @@ __all__ = ["ShootingProblem", "shoot", "oracle_eigenvalues", "E_TOL"]
 
 # Integration grid, shared by every problem: the Frobenius start radius, the
 # edge of the stiff inner region and its step refinement.  RK4 steps are
-# chained in blocks of _BLOCK (a power of two) between renormalizations, and
-# _PASS steps are evaluated and chained at once.
+# chained in blocks of _BLOCK (a power of two) between renormalizations.
+# _PASS bounds only the coefficient build: its temporaries span _PASS steps.
 _R_START = 1e-4
 _INNER_EDGE = 0.05
 _INNER_REFINE = 32
@@ -196,57 +200,53 @@ def _rk4_region(psi, phi, nodes, r0, r1, nsteps, ma, sigma, energy):
     """Integrate one region with fixed angular number; returns (psi, phi,
     log_scale, nodes), adding the sign changes of psi to the node count.
 
-    Each pass evaluates the memoized polynomials of up to ``_PASS`` steps
-    at this energy's c1 (Horner), pads them with identities to whole blocks
-    of ``_BLOCK`` steps (a pass shorter than a block: to the next power of
-    two) and sweeps each block up into tile products.  The block totals carry
-    (psi, phi) from block to block; on the way down each tile's left product
-    takes the tile's start vector to its midpoint, down to the tiles of
-    ``_node_tile``, at whose ends the sign changes of psi are counted."""
+    One numpy pass over the whole region: the memoized polynomials of every
+    step are evaluated at this energy's c1 (Horner) and padded with
+    identities to whole blocks of ``_BLOCK`` steps (a region shorter than a
+    block: to the next power of two).  The up sweep keeps each level of tile
+    products as its own array, up to the block totals, which carry (psi, phi)
+    from block to block.  On the way down each tile's left product takes the
+    tile's start vector to its midpoint, down to the tiles of ``_node_tile``,
+    at whose ends the sign changes of psi are counted."""
     h = (r1 - r0) / nsteps
     c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
     quad = c1 * h ** 4 / 24.0  # c1 times the c1^2 coefficient of m00 and m11
-    coef = _propagator_coefficients(r0, r1, nsteps, ma)
-    tile = _node_tile(r0, h, ma, c1)
+    k = _propagator_coefficients(r0, r1, nsteps, ma)
+    width = min(_BLOCK, 1 << (nsteps - 1).bit_length())
+    m = np.empty((2, 2, -(-nsteps // width) * width))
+    m[..., nsteps:] = 0.0
+    m[0, 0, nsteps:] = m[1, 1, nsteps:] = 1.0
+    m[0, 0, :nsteps] = (k[1] + quad) * c1 + k[0]
+    m[0, 1, :nsteps] = k[3] * c1 + k[2]
+    m[1, 0, :nsteps] = (k[6] * c1 + k[5]) * c1 + k[4]
+    m[1, 1, :nsteps] = (k[8] + quad) * c1 + k[7]
+    levels = [m]  # levels[j]: the products of the tiles of 2**j steps
+    while len(levels) < width.bit_length():  # up: each tile from its later and earlier half
+        lat, ear = levels[-1][..., 1::2], levels[-1][..., 0::2]
+        cur = lat[:, :1] * ear[:1]
+        cur += lat[:, 1:] * ear[1:]  # in place: one level-sized temporary fewer
+        levels.append(cur)
+    # v[:, i]: (psi, phi) after i node-count tiles, to one positive scale per block
+    step = min(_node_tile(r0, h, ma, c1), width)
+    per = width // step
+    v = np.empty((2, m.shape[-1] // step + 1))
     log_scale = 0.0
-    negative = psi < 0.0
-    for first in range(0, nsteps, _PASS):
-        k = coef[:, first:first + _PASS]
-        n = k.shape[1]
-        width = min(_BLOCK, 1 << (n - 1).bit_length())
-        m = np.empty((2, 2, -(-n // width) * width))
-        m[..., n:] = 0.0
-        m[0, 0, n:] = m[1, 1, n:] = 1.0
-        m[0, 0, :n] = (k[1] + quad) * c1 + k[0]
-        m[0, 1, :n] = k[3] * c1 + k[2]
-        m[1, 0, :n] = (k[6] * c1 + k[5]) * c1 + k[4]
-        m[1, 1, :n] = (k[8] + quad) * c1 + k[7]
-        span = 1
-        while span < width:  # up: the last entry of each 2*span tile takes its product
-            lat, ear = m[..., 2 * span - 1::2 * span], m[..., span - 1::2 * span]
-            m[..., 2 * span - 1::2 * span] = lat[:, :1] * ear[:1] + lat[:, 1:] * ear[1:]
-            span *= 2
-        # (psi, phi) before the pass and after each tile, to one positive scale per block
-        v = np.empty((2, m.shape[-1] + 1))
-        totals = m[..., width - 1::width].transpose(2, 0, 1).tolist()
-        for b, ((pa, pb), (pc, pd)) in enumerate(totals):
-            v[:, b * width] = psi, phi
-            psi, phi = pa * psi + pb * phi, pc * psi + pd * phi
-            s = max(abs(psi), abs(phi))
-            if s > 0.0:
-                psi /= s
-                phi /= s
-                log_scale += math.log(s)
-        v[:, -1] = psi, phi
-        step = min(tile, width)
-        span = width // 2
-        while span >= step:  # down: each 2*span tile's midpoint from its start and left half
-            left, start = m[..., span - 1::2 * span], v[:, :-1:2 * span]
-            v[:, span::2 * span] = left[:, 0] * start[0] + left[:, 1] * start[1]
-            span //= 2
-        below = v[0, step::step] < 0.0
-        nodes += int(below[0] != negative) + int(np.count_nonzero(below[1:] != below[:-1]))
-        negative = bool(below[-1])
+    for b, ((pa, pb), (pc, pd)) in enumerate(levels[-1].transpose(2, 0, 1).tolist()):
+        v[:, b * per] = psi, phi
+        psi, phi = pa * psi + pb * phi, pc * psi + pd * phi
+        s = max(abs(psi), abs(phi))
+        if s > 0.0:
+            psi /= s
+            phi /= s
+            log_scale += math.log(s)
+    v[:, -1] = psi, phi
+    span = per // 2
+    while span:  # down: the midpoint of each 2*span tiles from their start and left half
+        left, start = levels[(span * step).bit_length() - 1][..., 0::2], v[:, :-1:2 * span]
+        v[:, span::2 * span] = left[:, 0] * start[0] + left[:, 1] * start[1]
+        span //= 2
+    below = v[0, 1:] < 0.0
+    nodes += int(below[0] != (v[0, 0] < 0.0)) + int(np.count_nonzero(below[1:] != below[:-1]))
     return psi, phi, log_scale, nodes
 
 

@@ -225,7 +225,8 @@ def kummer_m(a: float, b: float, z: float) -> float:
     Audited against mpmath.hyp1f1 for a in [-6.3, 6.7], b in [1, 7] and
     |z| <= 400: below 1e-10 relative, and dM/dz of ``kummer_m_pair`` below
     1e-10 of |M| + |dM/dz|.  The series cap is 2000 terms; hitting it raises
-    ConvergenceError rather than returning a silent partial sum.  Non-finite
+    ConvergenceError rather than returning a silent partial sum, and so does
+    a value or derivative that leaves floating-point range.  Non-finite
     arguments raise DomainError.  This is the first element of
     ``kummer_m_pair``.
     """
@@ -246,13 +247,17 @@ def kummer_m_pair(a: float, b: float, z: float) -> tuple[float, float]:
     if z == 0.0:
         return 1.0, a / b
     if z < -30.0:
-        return _kummer_reflected(a, b, z)
-    total, zdm, absum = _kummer_m_series(a, b, z)
-    if z < 0.0 and absum > 1e6 * max(abs(total), 1e-300):
-        # alternating sum lost too many digits; the reflected series is
-        # single-signed in its tail and conditions well.
-        return _kummer_reflected(a, b, z)
-    return total, zdm / z
+        m, dm = _kummer_reflected(a, b, z)
+    else:
+        m, zdm, absum = _kummer_m_series(a, b, z)
+        dm = zdm / z
+        if z < 0.0 and absum > 1e6 * max(abs(m), 1e-300):
+            # alternating sum lost too many digits; the reflected series is
+            # single-signed in its tail and conditions well.
+            m, dm = _kummer_reflected(a, b, z)
+    if not (math.isfinite(m) and math.isfinite(dm)):
+        raise ConvergenceError(f"kummer_m leaves floating-point range at a={a}, b={b}, z={z}")
+    return m, dm
 
 
 def _kummer_reflected(a: float, b: float, z: float) -> tuple[float, float]:

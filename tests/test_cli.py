@@ -209,6 +209,14 @@ def test_regularize_with_oracle_verification(capsys):
         assert float(r[i]) == round(float(r[i]), 12) and float(r[j]) == round(float(r[j]), 13)
 
 
+def test_regularize_out_of_range_shell_is_an_error(capsys):
+    rc, out, err = run_cli(["regularize", "--alpha", "0.4", "--m", "1",
+                            "--R", "30", "--nmax", "0"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: kummer_m")
+
+
 def test_regularize_bad_radii(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["regularize", "--alpha", "0.5", "--m", "0", "--R", "0,-1"])

@@ -246,6 +246,96 @@ def test_tiled_node_count_matches_the_per_step_count(kwargs, h, monkeypatch):
         assert d == pytest.approx(d_ref, rel=1e-9), e
 
 
+@pytest.mark.parametrize("nsteps", [1, 2, 3, 50, 511, 512, 513, 2047, 2048, 2049, 4097])
+@pytest.mark.parametrize("energy, tile", [
+    (0.1, fluxtube.oracle._BLOCK),  # Q_max < 0: one tile per block
+    (5e4, 1),                       # a step spans more than half the zero spacing
+])
+def test_region_sweep_matches_the_scalar_loop_at_the_padding_edges(nsteps, energy, tile):
+    # a region of every length next to a block or a power of two: padded with
+    # identities to whole tiles, it must still step and count like the loop
+    r0, ma, sigma = 0.05, 1.0, 0.5
+    r1 = r0 + nsteps * 4e-3
+    c1 = 2.0 * ma + 4.0 * sigma - 4.0 * energy
+    assert fluxtube.oracle._node_tile(r0, (r1 - r0) / nsteps, ma, c1) == tile
+    args = (1.0, 0.3, 0, r0, r1, nsteps, ma, sigma, energy)
+    psi, _, log_scale, nodes = fluxtube.oracle._rk4_region(*args)
+    psi_ref, _, log_ref, nodes_ref = _scalar_rk4_region(*args)
+    assert nodes == nodes_ref
+    # D is psi e^log_scale, compared in the log domain (e^log_scale underflows at E = 5e4)
+    assert (psi < 0.0) == (psi_ref < 0.0)
+    assert math.log(abs(psi)) + log_scale == pytest.approx(
+        math.log(abs(psi_ref)) + log_ref, abs=1e-9)
+
+
+# shoot(problem, E) as (D.hex(), N), frozen from the sweep of 2048-step passes:
+# a change to the sweep must leave every shot as it was, bit for bit.  Keys are
+# (alpha, m, sigma, shell_radius, r_max, h); at h = 0.2 the node tile is one step.
+WALL = math.sqrt(80.0) + 8.0  # the r_max count mode takes for a window up to E = 40
+FROZEN_SHOTS = {
+    (0.5, 1, 0.5, None, 12.0, 0.001): [
+        (-0.3, '0x1.01ce8d0b7ee64p+163', 0),
+        (1.3, '0x1.518759de701d0p+152', 0),
+        (2.9, '-0x1.ef0d195b5e7c9p+138', 1),
+        (5.7, '0x1.6e770cdb9a0bep+121', 4),
+    ],
+    (-0.5, 0, 0.5, None, WALL, 0.001): [
+        (-0.3, '0x1.087fb028646a2p+311', 0),
+        (1.3, '-0x1.a730794f23eb6p+295', 1),
+        (4.1, '0x1.659d5021cae7ep+274', 4),
+        (17.1, '-0x1.ab6d0df8a4192p+211', 17),
+        (40.0, '-0x1.d3f7dd1ddb158p+118', 39),
+    ],
+    (0.5, 0, -0.5, 0.1, 12.0, 0.001): [
+        (-0.3, '0x1.0aa396e5d7ea2p+150', 0),
+        (1.3, '0x1.5e72e61995947p+138', 2),
+        (2.9, '-0x1.76a2af18ba1c6p+128', 3),
+        (5.7, '0x1.08ad6805a0400p+116', 6),
+    ],
+    (1.5, -1, 0.5, 0.3, 12.0, 0.001): [
+        (-0.3, '0x1.be9c63c04d838p+159', 0),
+        (1.3, '0x1.f3638db48dc21p+146', 0),
+        (2.9, '0x1.20935fb1da053p+135', 2),
+        (5.7, '0x1.20d35a8791e12p+118', 4),
+    ],
+    (-0.5, 1, -0.5, 0.3, WALL, 0.001): [
+        (-0.3, '0x1.7e9c571accd21p+306', 0),
+        (1.3, '-0x1.c5d8a5e4cb402p+291', 1),
+        (4.1, '0x1.e40e14aea1aaep+272', 4),
+        (17.1, '-0x1.5631efb0dac99p+210', 17),
+        (40.0, '0x1.f9efc1c1060b6p+140', 40),
+    ],
+    (-0.5, -1, 0.5, 1.0, 12.0, 0.001): [
+        (-0.3, '0x1.07003d433edcbp+153', 0),
+        (1.3, '-0x1.8c813f9509114p+139', 1),
+        (2.9, '-0x1.1e5d2a44b2dd2p+127', 3),
+        (5.7, '-0x1.60000632df355p+113', 5),
+    ],
+    (0.37, 0, 0.5, None, WALL, 0.2): [
+        (-0.3, '-0x1.fa6b11dfd850fp+309', 1),
+        (1.3, '-0x1.55ecebe008896p+293', 1),
+        (4.1, '0x1.52db677d192cep+275', 4),
+        (17.1, '-0x1.7466c96165de4p+213', 17),
+        (40.0, '-0x1.200f8d6883350p+101', 45),
+    ],
+    (1.5, 0, -0.5, 0.3, WALL, 0.2): [
+        (-0.3, '0x1.112d8048a947ep+301', 0),
+        (1.3, '-0x1.048a3cc6b41a5p+289', 1),
+        (4.1, '0x1.5c0b9fa05490ap+270', 4),
+        (17.1, '0x1.6ac1ba3c5e41dp+206', 16),
+        (40.0, '0x1.116d00c7ea5e9p+100', 44),
+    ],
+}
+
+
+
+@pytest.mark.parametrize("key", list(FROZEN_SHOTS), ids=str)
+def test_shots_are_bit_identical_to_the_frozen_table(key):
+    prob = ShootingProblem(*key)
+    shots = [(e, *shoot(prob, e)) for e, _, _ in FROZEN_SHOTS[key]]
+    assert [(e, d.hex(), n) for e, d, n in shots] == FROZEN_SHOTS[key]
+
+
 def test_node_tile_is_a_power_of_two_within_half_the_zero_spacing():
     tile_of = fluxtube.oracle._node_tile
     block = fluxtube.oracle._BLOCK

@@ -255,6 +255,13 @@ def test_xi_limit_table_oracle_reaches_past_a_large_shell():
     assert abs(rows[0].oracle_diff) <= 1e-6
 
 
+def test_large_shell_fails_loudly_instead_of_returning_no_roots():
+    # M(a, 2, R^2) overflows at R = 30: no sign of W to scan, so no root list
+    assert len(find_xi_roots(TubeModel(25.0, 0.4, 1, 0.5))) == 3
+    with pytest.raises(specfun.ConvergenceError):
+        find_xi_roots(TubeModel(30.0, 0.4, 1, 0.5))
+
+
 def test_tube_model_validation():
     with pytest.raises(ValueError):
         TubeModel(0.0, 0.5, 0, 0.5)

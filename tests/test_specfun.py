@@ -339,6 +339,15 @@ def test_overflow_far_below_zero_is_a_convergence_error():
         kummer_u(-300.5, 1.5, 20.0)
 
 
+@pytest.mark.parametrize("a, b, z", [(-0.5, 2.0, 900.0),   # direct sum: -inf
+                                     (2.5, 2.0, -900.0)])  # reflected: -inf * e^-900 = nan
+def test_kummer_m_out_of_range_is_a_convergence_error(a, b, z):
+    with pytest.raises(ConvergenceError):
+        kummer_m_pair(a, b, z)
+    with pytest.raises(ConvergenceError):
+        kummer_m(a, b, z)
+
+
 def test_kummer_u_builds_no_quadrature_rule(monkeypatch):
     def no_eigh(*args, **kwargs):
         raise AssertionError("a quadrature rule was built")
