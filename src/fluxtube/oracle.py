@@ -52,8 +52,13 @@ left product takes the tile's start vector to its midpoint, stops at tiles
 of the largest power of two up to _BLOCK steps that spans at most half that
 spacing (one step where even a step is longer), and the sign changes of psi
 are counted at the tile ends: a tile holds at most one zero.  The tile
-comes from each shot's own energy, and the count is the one a sample after
-every step would give.
+comes from each shot's own energy.  A sample after every step can count
+more than the tiles, where the step is too coarse for psi itself: at h =
+0.05 the inner step h/32 = 1.56e-3 is 15.6 ``_R_START``, and for (alpha,
+m, sigma) = (0.37, -1, -1/2), r_max = 16.94, E = 31.774266534543408 the
+first RK4 steps take psi below zero and back (after steps 1 and 3).  A
+sample after every step counts that pair, N = 34; the tile ends skip it,
+N = 32, the count of every h down to 1e-3.
 
 Levels are found by node counting, not on an energy grid: by the Sturm
 oscillation theorem the number N(E) of sign changes of psi on (0, r_max] is

@@ -26,12 +26,22 @@ psi_out' psi_in - psi_in' psi_out - (2 sigma alpha / R) psi_out psi_in,
 which is entire in E.  As R -> 0 the roots xi_n approach the nonpositive
 integers -n, reproducing the point-flux spectrum; `xi_limit_table` tabulates
 that migration, optionally cross-checked against the shooting oracle.
+
+`find_xi_roots` scans W down a fixed grid in xi.  Every grid point shares
+the inside solution's (b, z) = (|m| + 1, R^2), so before the scan starts
+one array call of `inside_solution` (one `kummer_m_pair` pass over the
+grid's a) gives psi_in at all of them, each value the scalar call's bit for
+bit.  psi_out takes one `kummer_u_pair` call a point, only as far as the
+scan goes.  M grows like e^(R^2), so the scan reaches shells up to about
+R = 26.5 and raises ConvergenceError beyond.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._brent import brentq
 from .specfun import kummer_m_pair, kummer_u_pair
@@ -85,8 +95,13 @@ class TubeModel:
         return self.xi_offset - xi
 
 
-def inside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, float]:
-    """(psi_in, dpsi_in/dr) of the interior regular solution at radius r."""
+def inside_solution(model: TubeModel, energy: float | np.ndarray, r: float) -> tuple:
+    """(psi_in, dpsi_in/dr) of the interior regular solution at radius r.
+
+    ``energy`` may be a 1-D array: one ``kummer_m_pair`` pass then gives the
+    pair at every energy as two arrays, each element equal to the scalar
+    call's value bit for bit.
+    """
     am = abs(float(model.m))
     b = am + 1.0
     a = 0.5 * (am + model.m + 1.0 + 2.0 * model.sigma) - energy
@@ -119,9 +134,14 @@ def outside_solution(model: TubeModel, energy: float, r: float) -> tuple[float, 
 def matching_wronskian(model: TubeModel, energy: float) -> tuple[float, float]:
     """(W, scale): pole-free cross form and the sum of its term magnitudes."""
     r = model.radius
-    vi, di = inside_solution(model, energy, r)
-    vo, do = outside_solution(model, energy, r)
-    jump = 2.0 * model.sigma * model.alpha / r
+    return _cross_form(model, *inside_solution(model, energy, r),
+                       *outside_solution(model, energy, r))
+
+
+def _cross_form(model: TubeModel, vi: float, di: float, vo: float,
+                do: float) -> tuple[float, float]:
+    """(W, scale) from the inside and outside pairs at the shell."""
+    jump = 2.0 * model.sigma * model.alpha / model.radius
     t1 = do * vi
     t2 = -di * vo
     t3 = -jump * vo * vi
@@ -159,11 +179,28 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
     pinned zero mode where one exists.  The scan stops 1.7 below the n_max-th
     level of both limits, xi = -n (R -> 0) and the interior levels xi_inf - n
     (R -> inf); fewer results mean fewer sign changes above that floor.
+
+    The grid, each point the one above less ``_XI_STEP``, is known before
+    the scan starts, down to its first point at or below the floor, and
+    every point shares M's (b, z) = (|m| + 1, R^2).  So one array call of
+    ``inside_solution`` gives psi_in at all of them up front, bit for bit
+    the scalar values, while psi_out takes one scalar call a point, only as
+    far as the scan goes.  Brent's points between grid points take the
+    scalar ``matching_wronskian``, and the (W, scale) of every point is kept
+    for brentq's bracket ends and the residual.  M leaves double range near
+    z = 700, so shells wider than about R = 26.5 raise ConvergenceError, at
+    the first grid point where it does.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n_roots = n_max + 1
     xi_floor = _xi_floor(model, n_max)
+    grid = [model.xi_offset + 0.3]
+    while grid[-1] > xi_floor:
+        grid.append(grid[-1] - _XI_STEP)
+    r = model.radius
+    with np.errstate(over="ignore", invalid="ignore"):  # silent inf and nan, as in float arithmetic
+        vi, di = (v.tolist() for v in inside_solution(model, model.xi_offset - np.array(grid), r))
 
     pairs: dict[float, tuple[float, float]] = {}  # xi -> (W, scale): none is evaluated twice
 
@@ -176,21 +213,21 @@ def find_xi_roots(model: TubeModel, n_max: int = 2) -> list[MatchResult]:
         return w_pair(xi)[0]
 
     results: list[MatchResult] = []
-    xi_prev = model.xi_offset + 0.3
-    w_prev = w_of_xi(xi_prev)
-    xi_cur = xi_prev
-    while xi_cur > xi_floor and len(results) < n_roots:
-        xi_cur = xi_prev - _XI_STEP
-        w_cur = w_of_xi(xi_cur)
-        if w_prev == 0.0 or (w_cur != 0.0 and (w_prev < 0.0) != (w_cur < 0.0)):
+    for j, xi_cur in enumerate(grid):
+        pairs[xi_cur] = _cross_form(model, vi[j], di[j],
+                                    *outside_solution(model, model.energy_from_xi(xi_cur), r))
+        w_cur = pairs[xi_cur][0]
+        if j and (w_prev == 0.0 or (w_cur != 0.0 and (w_prev < 0.0) != (w_cur < 0.0))):
             if w_prev == 0.0:
                 root, iters = xi_prev, 0
             else:
                 root, iters = brentq(w_of_xi, xi_cur, xi_prev, xtol=XI_TOL)
             w, scale = w_pair(root)
             residual = abs(w) / scale if scale > 0.0 else abs(w)
-            results.append(MatchResult(root, model.energy_from_xi(root), model.radius,
+            results.append(MatchResult(root, model.energy_from_xi(root), r,
                                        (xi_cur, xi_prev), iters, residual))
+            if len(results) == n_roots:
+                break
         xi_prev, w_prev = xi_cur, w_cur
     return results
 

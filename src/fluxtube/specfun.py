@@ -233,14 +233,27 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return kummer_m_pair(a, b, z)[0]
 
 
-def kummer_m_pair(a: float, b: float, z: float) -> tuple[float, float]:
+def kummer_m_pair(a: float | np.ndarray, b: float, z: float) -> tuple:
     """(M(a, b, z), dM/dz) from one Taylor sum; dM/dz = (a/b) M(a+1, b+1, z).
 
     Takes the same branches as ``kummer_m`` and returns its value as the
     first element.  Through the Kummer transformation the pair is
     (e^z m, e^z (m - m')), with m and m' = dm/dw the pair of M(b - a, b, w)
     at w = -z.
+
+    ``a`` may also be a 1-D array at scalar (b, z), z >= 0, the way
+    ``laguerre`` takes an array z; the pair is then two arrays.  Every
+    element runs the scalar Taylor loop's operations in the same order and
+    stops at its own first term below ``SERIES_EPS`` of its sum, so each
+    equals the scalar call bit for bit.  A finished element adds exact
+    zeros from then on, so a pass costs the longest element's terms, a few
+    numpy operations over the whole array each.  The first element in
+    array order that hits the cap or leaves floating-point range raises the
+    scalar call's ConvergenceError; z < 0, where the scalar call may
+    reflect, is a DomainError.
     """
+    if isinstance(a, np.ndarray):
+        return _kummer_m_array(a, b, z)
     _require_finite("kummer_m", a, b, z)
     if _is_nonpositive_int(b):
         raise PoleError(f"kummer_m pole: b={b!r} is a nonpositive integer")
@@ -258,6 +271,45 @@ def kummer_m_pair(a: float, b: float, z: float) -> tuple[float, float]:
     if not (math.isfinite(m) and math.isfinite(dm)):
         raise ConvergenceError(f"kummer_m leaves floating-point range at a={a}, b={b}, z={z}")
     return m, dm
+
+
+def _kummer_m_array(a: np.ndarray, b: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """``kummer_m_pair`` at a 1-D array ``a``: ``_kummer_m_series`` on every
+    element at once, without the |term| sum that only z < 0 reads."""
+    if a.ndim != 1:
+        raise DomainError(f"kummer_m takes a 1-D array a, got shape {a.shape}")
+    al = a.astype(float)
+    if not (math.isfinite(b) and math.isfinite(z) and np.isfinite(al).all()):
+        raise DomainError(f"kummer_m needs finite arguments, got an array a, b={b!r}, z={z!r}")
+    if _is_nonpositive_int(b):
+        raise PoleError(f"kummer_m pole: b={b!r} is a nonpositive integer")
+    if z < 0.0:
+        raise DomainError(f"kummer_m takes an array a only at z >= 0, got z={z!r}")
+    if z == 0.0:
+        return np.ones_like(al), al / b
+    term, total, zsum = np.ones(al.size), np.ones(al.size), np.zeros(al.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below, as in the loop
+        for k in range(SERIES_CAP):
+            step = al + k
+            step *= z
+            step /= (b + k) * (k + 1.0)
+            term *= step
+            total += term
+            zsum += (k + 1.0) * term
+            done = np.abs(term) <= SERIES_EPS * np.abs(total)
+            if done.all():
+                break
+            # a finished element sums exact zeros from here on: term 0 and a
+            # 0 keep its step finite, so even an overflowed sum stays as it is
+            np.copyto(term, 0.0, where=done)
+            np.copyto(al, 0.0, where=done)
+        dm = zsum / z
+    if not (done.all() and np.isfinite(total).all() and np.isfinite(dm).all()):
+        # the first failing element in order; one not done never stopped summing
+        first = int(np.argmin(done & np.isfinite(total) & np.isfinite(dm)))
+        what = "leaves floating-point range" if done[first] else "series cap"
+        raise ConvergenceError(f"kummer_m {what} at a={float(a[first])}, b={b}, z={z}")
+    return total, dm
 
 
 def _kummer_reflected(a: float, b: float, z: float) -> tuple[float, float]:
@@ -371,7 +423,9 @@ def _u_miller(a: float, b: float, z: float) -> tuple[float, float]:
     U(a, b+1) = U(a, b) + a U(a+1, b+1) [DLMF 13.3.9], stably, as U is
     dominant as b -> infinity, so dU/dz = -a U(a+1, b+1) keeps its factor a.
     The climb's dominant part carries 1/Gamma(a): next to a = -n at large b
-    the steps in b lose digits.
+    the steps in b lose digits.  The start height grows with z: from z of a
+    few hundred on it is about z/16 steps (32 at z = 400, 68 at 1e3, 6252
+    at 1e5, where a call takes milliseconds).
     """
     j = math.ceil(a)
     a0, b0 = a - j, b - (math.floor(b) - 1)  # a' in (-1, 0], b0 in [1, 2)

@@ -246,6 +246,18 @@ def test_tiled_node_count_matches_the_per_step_count(kwargs, h, monkeypatch):
         assert d == pytest.approx(d_ref, rel=1e-9), e
 
 
+def test_tiled_count_skips_a_sign_flip_of_the_coarse_start(monkeypatch):
+    # at h = 0.05 the inner step h/32 is 15.6 _R_START: the first RK4 steps
+    # take psi below zero and back, a pair that a sample after every step
+    # counts and the tile ends do not; every finer h agrees with the tiles
+    energy = 31.774266534543408
+    kwargs = dict(alpha=0.37, m=-1, sigma=-0.5, r_max=16.94)
+    assert [shoot(ShootingProblem(**kwargs, h=h), energy)[1]
+            for h in (0.05, 0.01, 1e-3)] == [32, 32, 32]
+    monkeypatch.setattr(fluxtube.oracle, "_rk4_region", _scalar_rk4_region)
+    assert shoot(ShootingProblem(**kwargs, h=0.05), energy)[1] == 34
+
+
 @pytest.mark.parametrize("nsteps", [1, 2, 3, 50, 511, 512, 513, 2047, 2048, 2049, 4097])
 @pytest.mark.parametrize("energy, tile", [
     (0.1, fluxtube.oracle._BLOCK),  # Q_max < 0: one tile per block

@@ -30,6 +30,36 @@ REGULAR_CHANNEL_ROOTS = {
     0.05: [7.0649423e-05, -0.999823251738, -1.999690473368],
 }
 
+# find_xi_roots(TubeModel(R, alpha, m, sigma)) at n_max = 2 as xi.hex(), captured
+# at commit 1f2f11f: narrow (z <= 8), wide (8 < z <= 50) and far (z > 50)
+# shells, integer alpha and both spins.
+FROZEN_ROOTS = {
+    (0.3, 0.4, 1, 0.5):
+        ['0x1.f61f7bcff1f43p-12', '-0x1.ff31417764a53p-1', '-0x1.ff2388e0dcbc5p+0'],
+    (0.05, -1.2, -2, -0.5):
+        ['-0x1.0000000000000p-57', '-0x1.fffffffffea78p-1', '-0x1.fffffffffc890p+0'],
+    (1.0, 2.0, 0, 0.5):
+        ['0x1.77d149dd44d1ep+0', '-0x1.4ceac6c82ace1p-3', '-0x1.363a05202a3a1p+0'],
+    (2.5, -1.0, 3, -0.5):
+        ['-0x1.d86a26543505cp-1', '-0x1.ac0f7e92e0068p+0', '-0x1.5a2f93ef57349p+1'],
+    (4.0, 0.37, -1, 0.5):
+        ['-0x1.5c58426a54222p-21', '-0x1.000475d2e64b6p+0', '-0x1.003988805c499p+1'],
+    (5.5, -1.5, 2, -0.5):
+        ['-0x1.7ffffffffc030p+0', '-0x1.3ffffffcbe455p+1', '-0x1.bffffe74eed0ap+1'],
+    (6.5, 1.0, -3, 0.5):
+        ['-0x1.e400000000000p-51', '-0x1.00000000023e4p+0', '-0x1.00000000981e2p+1'],
+    (8.0, 0.9, 0, -0.5):
+        ['0x1.ccccccccccccap-1', '-0x1.99999999999d7p-4', '-0x1.19999999999a0p+0'],
+    (9.5, -2.0, 1, 0.5):
+        ['-0x1.0000000000006p+0', '-0x1.0000000000005p+1', '-0x1.8000000000007p+1'],
+    (12.0, 1.3, 2, -0.5):
+        ['0x1.4ccccccccccc2p+0', '0x1.33333333332f8p-2', '-0x1.6666666666687p-1'],
+    (20.0, 0.4, 1, 0.5):
+        ['0x1.9999999999970p-2', '-0x1.333333333334bp-1', '-0x1.99999999999a9p+0'],
+    (25.0, 0.4, 1, 0.5):
+        ['0x1.9999999999970p-2', '-0x1.333333333334bp-1', '-0x1.99999999999a9p+0'],
+}
+
 # alpha = -0.5, m = 0, sigma = +1/2 (attracted channel): the lowest level
 # approaches its limit E = 1/2 from above as the shell shrinks.
 ATTRACTED_NEG_FLUX_E0 = {0.2: 0.558360738, 0.05: 0.5142269202}
@@ -44,6 +74,11 @@ def test_regular_channel_frozen_roots():
             assert res.radius == radius
             assert res.residual <= 1e-10
             assert res.bracket[0] <= res.xi <= res.bracket[1]
+
+
+@pytest.mark.parametrize("key", list(FROZEN_ROOTS), ids=str)
+def test_roots_are_bit_identical_to_the_frozen_table(key):
+    assert [res.xi.hex() for res in find_xi_roots(TubeModel(*key))] == FROZEN_ROOTS[key]
 
 
 def test_root_energy_xi_consistency():
@@ -82,6 +117,39 @@ def test_deviation_shrinks_at_the_order_of_the_small_r_law(alpha, m, sigma):
     for n in range(3):
         slope = math.log2(abs(coarse[n].xi + n) / abs(fine[n].xi + n))
         assert slope == pytest.approx(order, abs=0.02), f"n = {n}"
+
+
+def small_r_law(n: int, radius: float, alpha: float, m: int, sigma: float) -> float:
+    """Leading xi_n + n of the regular tower as R -> 0, nu = |m + alpha| not an integer:
+
+        R^(2 nu) (nu - kappa)/(nu + kappa) Gamma(-nu) / (Gamma(nu) Gamma(-n - nu) n! (-1)^n),
+
+    kappa = |m| + 2 sigma alpha.  psi_in'/psi_in = kappa/R + O(R) once the shell's
+    jump is added, against U(xi, nu + 1, R^2) = Gamma(nu)/Gamma(xi) R^(-2 nu)
+    + Gamma(-nu)/Gamma(xi - nu) + ... (DLMF 13.2.16-13.2.22), and 1/Gamma(xi)
+    = (-1)^n n! (xi + n) + ... next to xi = -n.
+    """
+    nu, kappa = abs(m + alpha), abs(m) + 2.0 * sigma * alpha
+    return (radius ** (2.0 * nu) * (nu - kappa) / (nu + kappa) * math.gamma(-nu)
+            / (math.gamma(nu) * math.gamma(-n - nu) * math.factorial(n) * (-1) ** n))
+
+
+@pytest.mark.parametrize("alpha, m, sigma", [
+    (0.4, -1, 0.5), (-0.3, 2, -0.5), (0.9, -2, 0.5), (1.3, -1, 0.5),  # kappa != nu
+])
+def test_deviation_follows_the_small_r_law_with_its_coefficient(alpha, m, sigma):
+    # the next terms are R^(2 nu) and R^2 smaller than the leading one, so the
+    # law's relative error falls with R, under 10 R^min(2 nu, 2); at nu = 0.3
+    # that is only R^0.6 (0.25 at R = 0.1, 0.06 at R = 0.01)
+    power = min(2.0 * abs(m + alpha), 2.0)
+    radii = (0.1, 0.03, 0.01)
+    for n in range(3):
+        errors = []
+        for radius in radii:
+            xi = find_xi_roots(TubeModel(radius, alpha, m, sigma))[n].xi
+            errors.append(abs((xi + n) / small_r_law(n, radius, alpha, m, sigma) - 1.0))
+        assert errors == sorted(errors, reverse=True), f"n = {n}"
+        assert all(e <= 10.0 * r ** power for e, r in zip(errors, radii)), (n, errors)
 
 
 def test_shrunk_shell_matches_point_flux_energy():
@@ -197,20 +265,23 @@ def test_find_xi_roots_makes_one_u_pass_per_evaluation(monkeypatch, radius):
 
 @pytest.mark.parametrize("radius", [0.3, 4.0])
 def test_find_xi_roots_evaluates_no_xi_twice(monkeypatch, radius):
-    # brentq's bracket ends and the residual at the root reuse the scan's (W, scale)
+    # brentq's bracket ends and the residual at the root reuse the scan's (W, scale).
+    # Every W evaluation, on the grid or between its points, takes one psi_out,
+    # so recording outside_solution sees them all
     energies = []
-    real = regularization.matching_wronskian
+    real = regularization.outside_solution
 
-    def recording(model, energy):
+    def recording(model, energy, r):
         energies.append(energy)
-        return real(model, energy)
+        return real(model, energy, r)
 
     model = TubeModel(radius, 0.4, 1, 0.5)
     want = find_xi_roots(model)
-    monkeypatch.setattr(regularization, "matching_wronskian", recording)
+    monkeypatch.setattr(regularization, "outside_solution", recording)
     assert find_xi_roots(model) == want
     assert len(want) == 3
     assert len(set(energies)) == len(energies)
+    assert len(energies) > 200  # the scan alone walks xi from 2.7 to below -2
 
 
 def test_outside_solution_decays():

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 import pytest
 
+from fluxtube import specfun
 from fluxtube.regularization import TubeModel, find_xi_roots
 from fluxtube.specfun import (
     ConvergenceError,
@@ -346,6 +347,102 @@ def test_kummer_m_out_of_range_is_a_convergence_error(a, b, z):
         kummer_m_pair(a, b, z)
     with pytest.raises(ConvergenceError):
         kummer_m(a, b, z)
+
+
+def _terms(a: float, b: float, z: float) -> int:
+    """The number of Taylor terms after which the scalar M loop stops."""
+    total = term = 1.0
+    for k in range(2000):
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        total += term
+        if abs(term) <= 1e-16 * abs(total):
+            return k + 1
+    raise AssertionError("the loop never stops")
+
+
+def _hex_pairs(ms, dms) -> list[tuple[str, str]]:
+    return [(float(m).hex(), float(dm).hex()) for m, dm in zip(ms, dms)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kummer_m_array_is_the_scalar_loop_bit_for_bit(seed):
+    # each element stops at its own k; the array pass must not carry one on
+    # past its stop or cut it short, nor reorder its arithmetic
+    rng = np.random.default_rng(seed)
+    stops = []
+    for _ in range(20):
+        b, z = rng.uniform(1.0, 7.0), 400.0 * (1.0 - rng.random())  # z in (0, 400]
+        a = rng.uniform(-6.3, 6.7, size=int(rng.integers(1, 40)))
+        want = [kummer_m_pair(float(x), b, z) for x in a]
+        assert _hex_pairs(*kummer_m_pair(a, b, z)) == _hex_pairs(*zip(*want))
+        stops.append(len({_terms(float(x), b, z) for x in a}))
+    assert max(stops) > 5
+
+
+def test_kummer_m_scalar_calls_keep_the_scalar_loop(monkeypatch):
+    # Brent's points off the scan grid call with one float a: no array pass
+    def no_array(*args):
+        raise AssertionError("the array pass ran")
+
+    monkeypatch.setattr(specfun, "_kummer_m_array", no_array)
+    for a in (0.5, np.float64(0.5), -2):
+        m, dm = kummer_m_pair(a, 2.0, 30.0)
+        assert not isinstance(m, np.ndarray) and not isinstance(dm, np.ndarray)
+
+
+@pytest.mark.parametrize("z", [0.09, 4.0, 30.0, 100.0, 400.0])
+def test_kummer_m_array_on_a_scan_grid(z):
+    # the grid find_xi_roots hands over: a falls by 0.02 a point, through a = -n
+    a = 2.3 - 0.02 * np.arange(300)
+    assert len({_terms(float(x), 2.0, z) for x in a}) > 1
+    want = [kummer_m_pair(float(x), 2.0, z) for x in a]
+    m, dm = kummer_m_pair(a, 2.0, z)
+    assert isinstance(m, np.ndarray) and m.shape == dm.shape == a.shape
+    assert _hex_pairs(m, dm) == _hex_pairs(*zip(*want))
+
+
+def test_kummer_m_array_at_z_zero_is_the_scalar_branch():
+    a = np.array([-2.5, 0.0, 1.25])
+    m, dm = kummer_m_pair(a, 1.5, 0.0)
+    assert _hex_pairs(m, dm) == _hex_pairs(*zip(*(kummer_m_pair(float(x), 1.5, 0.0) for x in a)))
+
+
+@pytest.mark.parametrize("a, b, z, error", [
+    (np.array([0.5, 1.5]), 2.0, -1.0, DomainError),        # the scalar call may reflect there
+    (np.array([[0.5, 1.5]]), 2.0, 1.0, DomainError),       # not 1-D
+    (np.array(0.5), 2.0, 1.0, DomainError),                # 0-d
+    (np.array([0.5, math.nan]), 2.0, 1.0, DomainError),
+    (np.array([0.5]), math.inf, 1.0, DomainError),
+    (np.array([0.5]), 2.0, math.nan, DomainError),
+    (np.array([0.5]), -1.0, 1.0, PoleError),
+])
+def test_kummer_m_array_rejects_what_it_does_not_sum(a, b, z, error):
+    with pytest.raises(error):
+        kummer_m_pair(a, b, z)
+
+
+def test_kummer_m_array_raises_for_its_first_element_out_of_range():
+    # at z = 700, z dM/dz of M(a, 2, z) passes the double range between a = 2.5 and 2.8
+    a = np.array([1.0, 2.5, 2.8, 5.0])
+    assert kummer_m_pair(2.5, 2.0, 700.0)[0] < 1e306
+    with pytest.raises(ConvergenceError) as scalar:
+        kummer_m_pair(2.8, 2.0, 700.0)
+    with pytest.raises(ConvergenceError) as array:
+        kummer_m_pair(a, 2.0, 700.0)
+    assert str(array.value) == str(scalar.value) == \
+        "kummer_m leaves floating-point range at a=2.8, b=2.0, z=700.0"
+
+
+def test_kummer_m_array_raises_at_the_series_cap_like_the_loop(monkeypatch):
+    # finite z > 0 overflows before it reaches the cap; a lowered cap shows
+    # that an element still summing there fails as the scalar loop does
+    monkeypatch.setattr(specfun, "SERIES_CAP", 8)
+    a = np.array([0.0, 1.5, 2.5])  # a = 0 stops at once
+    with pytest.raises(ConvergenceError) as scalar:
+        kummer_m_pair(1.5, 2.0, 3.0)
+    with pytest.raises(ConvergenceError) as array:
+        kummer_m_pair(a, 2.0, 3.0)
+    assert str(array.value) == str(scalar.value) == "kummer_m series cap at a=1.5, b=2.0, z=3.0"
 
 
 def test_kummer_u_builds_no_quadrature_rule(monkeypatch):
